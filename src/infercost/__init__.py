@@ -21,7 +21,6 @@ from .arch import (
     ModelConfig,
     NonPositiveFieldError,
     Phase,
-    WorkloadPoint,
     load_model_config,
     model_preset,
     resolve_model,
@@ -114,7 +113,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # arch
-    "ModelConfig", "Phase", "WorkloadPoint", "ConfigError",
+    "ModelConfig", "Phase", "ConfigError",
     "DimensionMismatchError", "NonPositiveFieldError", "validate_config",
     "model_preset", "resolve_model", "load_model_config", "save_model_config",
     # costmodel

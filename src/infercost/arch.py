@@ -1,4 +1,4 @@
-"""Model architecture description and workload-point types shared by all modules.
+"""Model architecture description shared by all modules.
 
 Symbols used throughout the package: h = hidden size, h' = intermediate (FFN)
 size, n = number of attention heads, d = head dimension, l = decoder layers,
@@ -93,24 +93,6 @@ def validate_config(cfg: ModelConfig) -> ModelConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class WorkloadPoint:
-    """One (batch, length, phase) evaluation point.
-
-    In Phase.DECODE, seq_len is the number of cached past tokens per sequence.
-    """
-
-    batch_size: int
-    seq_len: int
-    phase: Phase
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise NonPositiveFieldError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seq_len < 1:
-            raise NonPositiveFieldError(f"seq_len must be >= 1, got {self.seq_len}")
-
-
 # Publicly documented LLaMA-2 architectures; the reference measurements in
 # paper-data/ were taken on the 7B variant.
 MODEL_PRESETS: dict[str, ModelConfig] = {
@@ -170,7 +152,7 @@ def resolve_model(name_or_path: str | Path) -> ModelConfig:
 
 __all__ = [
     "ConfigError", "DimensionMismatchError", "NonPositiveFieldError",
-    "Phase", "ModelConfig", "WorkloadPoint", "MODEL_PRESETS",
+    "Phase", "ModelConfig", "MODEL_PRESETS",
     "model_preset", "model_config_from_dict", "load_model_config",
     "save_model_config", "resolve_model", "validate_config",
 ]

@@ -407,8 +407,7 @@ def cmd_simulate(args) -> int:
                   f"requests, which consumed the whole {len(trace)}-request "
                   f"trace; use more requests", file=sys.stderr)
     else:
-        result = servesim.run(policy, trace, cfg, coeffs, capacity=capacity,
-                              seed=args.seed)
+        result = servesim.run(policy, trace, cfg, coeffs, capacity=capacity)
         rows = [(label, 0.0, result.metrics)]
     _emit(servesim.metrics_csv_text(rows), args.out)
     return 0

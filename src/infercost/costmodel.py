@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .arch import ModelConfig, validate_config
+from .arch import ModelConfig
 
 
 class OpKind(Enum):
@@ -82,8 +82,8 @@ class OpCost:
             object.__setattr__(self, "arithmetic_intensity", ai)
 
 
-# KV-cache layouts (re-exported by kvsim, which owns their allocation math).
-# They live here because decode_op_costs dispatches on them.
+# KV-cache layouts. They are defined here because decode_op_costs dispatches
+# on them; kvsim re-exports them next to its allocation math.
 
 @dataclass(frozen=True)
 class Vanilla:
@@ -123,7 +123,6 @@ def _require_positive(**values: int) -> None:
 
 def prefill_op_costs(cfg: ModelConfig, b: int, s: int) -> list[OpCost]:
     """Per-operation costs of one decoder layer processing a b x s prompt."""
-    validate_config(cfg)
     _require_positive(b=b, s=s)
     h, hf, n = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads
     w = cfg.bytes_per_scalar
@@ -146,25 +145,33 @@ def prefill_op_costs(cfg: ModelConfig, b: int, s: int) -> list[OpCost]:
     return rows
 
 
+def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int) -> int:
+    """Bytes one layer's cache update moves when b sequences with s_past cached
+    tokens each append one token.
+
+    Vanilla reallocates and copies: both full caches are read and rewritten
+    along with the appended token (2 tensors x read+write x h x b x
+    (s_past + 1) scalars). Paged and TokenGranular are append-only: only the
+    new k, v vectors are written (and read back).
+    """
+    if isinstance(layout, Vanilla):
+        tokens = s_past + 1
+    elif isinstance(layout, (Paged, TokenGranular)):
+        tokens = 1
+    else:
+        raise TypeError(f"unknown cache layout: {layout!r}")
+    return cfg.bytes_per_scalar * 2 * 2 * cfg.hidden_size * b * tokens
+
+
 def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
                     cache_layout: CacheLayout = Paged()) -> list[OpCost]:
     """Per-operation costs of one decoder layer generating one token per
     sequence with s_past cached tokens each."""
-    validate_config(cfg)
     _require_positive(b=b, s_past=s_past)
     h, hf, n = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads
     w = cfg.bytes_per_scalar
 
-    if isinstance(cache_layout, Vanilla):
-        # Reallocate-and-copy: the whole K and V caches are read and rewritten
-        # along with the appended token.
-        cache_mops = w * 2 * (2 * b * s_past * h + 2 * b * h)
-    elif isinstance(cache_layout, (Paged, TokenGranular)):
-        # Append-only: the new k, v vectors are written (and read back).
-        cache_mops = w * 2 * 2 * b * h
-    else:
-        raise TypeError(f"unknown cache layout: {cache_layout!r}")
-
+    cache_mops = cache_update_mops(cache_layout, cfg, b, s_past)
     add_norm = OpCost(OpKind.ADD_NORM_ATTN, 5 * b * h, w * (3 * b * h + h))
     rows = [
         OpCost(OpKind.QKV_PROJ, 6 * b * h * h, w * (4 * b * h + 3 * h * h)),
@@ -209,7 +216,6 @@ class ModelCost:
 
 def aggregate(layer_costs: list[OpCost], cfg: ModelConfig) -> ModelCost:
     """Scale one layer's per-op costs by the layer count."""
-    validate_config(cfg)
     l = cfg.num_layers
     per_kind: dict[OpKind, OpCost] = {}
     for cost in layer_costs:
@@ -223,7 +229,6 @@ def aggregate(layer_costs: list[OpCost], cfg: ModelConfig) -> ModelCost:
 
 def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
     """Bytes held by the K and V caches for b sequences of s tokens, all layers."""
-    validate_config(cfg)
     if b < 0 or s < 0:
         raise ValueError("b and s must be non-negative")
     return 2 * cfg.num_layers * cfg.hidden_size * cfg.bytes_per_scalar * b * s
@@ -232,6 +237,6 @@ def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
 __all__ = [
     "OpKind", "OpCost", "ModelCost", "CacheLayout", "Vanilla", "Paged",
     "TokenGranular", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
-    "LINEAR_PROJECTIONS", "prefill_op_costs", "decode_op_costs", "aggregate",
-    "kv_cache_bytes",
+    "LINEAR_PROJECTIONS", "cache_update_mops", "prefill_op_costs",
+    "decode_op_costs", "aggregate", "kv_cache_bytes",
 ]

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import DimensionMismatchError, ModelConfig, Phase, validate_config
+from .arch import DimensionMismatchError, ModelConfig, Phase
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 
@@ -85,7 +85,6 @@ def coeff_names(phase: Phase) -> tuple[str, ...]:
 
 
 def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
-    validate_config(cfg)
     h, hf, n, l = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads, cfg.num_layers
     return (float(b * s * h * h * l), float(b * s * h * hf * l),
             float(b * s * s * n * l), float(b * s * h * l),
@@ -93,7 +92,6 @@ def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
 
 
 def decode_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
-    validate_config(cfg)
     h, n, l = cfg.hidden_size, cfg.num_heads, cfg.num_layers
     return (float(b * s * h * l), float(b * s * n * l), float(b * h * l), 1.0)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arch import ModelConfig, validate_config
-from .costmodel import CacheLayout, Paged, TokenGranular, Vanilla, kv_cache_bytes
+from .arch import ModelConfig
+from .costmodel import (CacheLayout, Paged, TokenGranular, Vanilla, cache_update_mops,
+                        kv_cache_bytes)
 from .hardware import HardwareSpec
 
 
@@ -58,26 +59,16 @@ def allocated_tokens(layout: CacheLayout, length: int) -> int:
 
 
 def cache_step_bytes(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int) -> int:
-    """Bytes the cache update moves in one decode step, all layers.
-
-    Vanilla reads and rewrites both full caches plus the appended token
-    (2 tensors x read+write x h x l x b x (s_past + 1) scalars); Paged and
-    TokenGranular touch only the appended token.
+    """Bytes the cache update moves in one decode step, all layers: num_layers
+    times costmodel.cache_update_mops. s_past = 0 (an empty cache) is allowed.
     """
-    validate_config(cfg)
     if b < 1 or s_past < 0:
         raise ValueError(f"need b >= 1 and s_past >= 0, got b={b}, s_past={s_past}")
-    per_token = 2 * cfg.bytes_per_scalar * 2 * cfg.hidden_size * cfg.num_layers * b
-    if isinstance(layout, Vanilla):
-        return per_token * (s_past + 1)
-    if isinstance(layout, (Paged, TokenGranular)):
-        return per_token
-    raise TypeError(f"unknown cache layout: {layout!r}")
+    return cfg.num_layers * cache_update_mops(layout, cfg, b, s_past)
 
 
 def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> CacheStats:
     """Cache byte accounting for a set of concurrently resident sequences."""
-    validate_config(cfg)
     if not seq_lens:
         raise ValueError("seq_lens must be non-empty")
     if any(length < 0 for length in seq_lens):
@@ -93,7 +84,6 @@ def max_concurrency(layout: CacheLayout, cfg: ModelConfig, hw: HardwareSpec,
                     model_weight_bytes: int, per_seq_len: int) -> int:
     """Largest number of per_seq_len-token sequences whose cache fits beside
     the weights in hw memory. Zero is a valid answer."""
-    validate_config(cfg)
     if model_weight_bytes < 0:
         raise ValueError("model_weight_bytes must be >= 0")
     if model_weight_bytes >= hw.memory_bytes:

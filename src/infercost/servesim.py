@@ -6,25 +6,37 @@ model. The prefill step itself yields a request's first token, so a request
 with output_len L costs one prefill step plus L-1 decode steps, the i-th
 decode step running against s_past = input_len + i - 1 cached tokens.
 
-Policies:
-  Static     - wait for batch_size queued requests (or the end of the trace),
-               run the batch to completion before admitting anyone else. All
-               steps are priced at the full padded batch (b = batch size,
-               lengths padded to the batch maximum).
-  Continuous - admit at every step boundary; each admission runs one exclusive
-               prefill step (b=1 at its prompt length), then joins per-token
-               decoding; decode steps are priced at b = running sequences and
-               the largest s_past in the batch; finished sequences vacate
-               immediately.
-  SplitFuse  - every step carries exactly token_budget tokens: one decode
-               token per running sequence, the remainder filled with prompt
-               chunks split off pending prefills (FIFO); priced with the
-               prefill model at (b=1, s = tokens carried).
+One engine loop runs every policy. Each pass pulls arrivals, admits queued
+requests in FIFO order, asks the policy for the step's work items - one
+(sequence, new_tokens, s_past) tuple per sequence the step touches - prices
+the step, then applies tokens, first-token times and completions. A policy
+supplies only its admission limit and timing, the step's kind and items, and
+whether finished sequences vacate:
+
+  Static     - admits up to batch_size requests into an empty batch, waiting
+               for stragglers until the batch is full or the trace is
+               exhausted; one prefill step over the whole batch, then decode
+               steps until the batch drains. Finished sequences stay in the
+               batch as padding and keep advancing their s_past.
+  Continuous - admits up to seq_limit sequences at every step boundary; each
+               admission runs one exclusive prefill step, then joins
+               per-token decoding. Finished sequences vacate immediately.
+  SplitFuse  - admits up to token_budget sequences; every step is mixed: one
+               decode token per decoding sequence, the rest of the budget
+               filled with prompt chunks split off pending prefills (FIFO).
+
+One function prices every step from its kind and items:
+
+  prefill -> prefill model at (len(items), max new_tokens)
+  decode  -> decode model at (len(items), max s_past)
+  mixed   -> prefill model at (1, sum of new_tokens)
 
 KV accounting: admission reserves the maximum cache a request will ever hold
 (input_len + output_len - 1 tokens, rounded up per the capacity's layout) and
-releases it on completion. Negative model predictions (possible near zero
-workload with a negative intercept) are clamped to zero-duration steps.
+releases it on completion. Each reservation is computed once, before the
+first step, so a request that can never fit raises CapacityError up front.
+Negative model predictions (possible near zero workload with a negative
+intercept) are clamped to zero-duration steps.
 
 Token latency is defined as request latency divided by output_len.
 """
@@ -33,7 +45,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import deque
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -235,262 +250,95 @@ def compute_metrics(records) -> ServingMetrics:
     )
 
 
-class _StepTimer:
-    def __init__(self, cfg: ModelConfig, coeffs: CoefficientPair):
-        self.cfg = cfg
-        self.coeffs = coeffs
-
-    def prefill_s(self, b: int, s: int) -> float:
-        return max(0.0, predict_at(self.coeffs.prefill, self.cfg, b, s)) / 1000.0
-
-    def decode_s(self, b: int, s_past: int) -> float:
-        return max(0.0, predict_at(self.coeffs.decode, self.cfg, b, s_past)) / 1000.0
+_NEW_TOKENS, _S_PAST = itemgetter(1), itemgetter(2)  # fields of a step item
 
 
-class _CapacityTracker:
-    def __init__(self, capacity: Optional[KvCapacity], cfg: ModelConfig):
-        self.capacity = capacity
-        self.per_token = kv_cache_bytes(cfg, 1, 1)
-        self.reserved = 0
-        self.peak = 0
+def _price_step(kind: str, items, cfg: ModelConfig, coeffs: CoefficientPair) -> float:
+    """Seconds one step takes; items are (sequence, new_tokens, s_past) tuples."""
+    if kind == "prefill":
+        ms = predict_at(coeffs.prefill, cfg, len(items), max(map(_NEW_TOKENS, items)))
+    elif kind == "decode":
+        ms = predict_at(coeffs.decode, cfg, len(items), max(map(_S_PAST, items)))
+    else:
+        ms = predict_at(coeffs.prefill, cfg, 1, sum(map(_NEW_TOKENS, items)))
+    return max(0.0, ms) / 1000.0
 
-    def bytes_for(self, req: Request) -> int:
-        tokens = req.input_len + req.output_len - 1  # max cache the request holds
-        if self.capacity is None:
-            return self.per_token * tokens
-        try:
-            return self.per_token * allocated_tokens(self.capacity.layout, tokens)
-        except ReservedOverflowError as exc:
-            raise CapacityError(f"request {req.id}: {exc}") from exc
 
-    def require_feasible(self, req: Request) -> None:
-        if self.capacity is not None and self.bytes_for(req) > self.capacity.total_bytes:
-            raise CapacityError(
-                f"request {req.id} needs {self.bytes_for(req)} B of KV cache, "
-                f"capacity is {self.capacity.total_bytes} B")
-
-    def fits(self, req: Request) -> bool:
-        if self.capacity is None:
-            return True
-        return self.reserved + self.bytes_for(req) <= self.capacity.total_bytes
-
-    def reserve(self, req: Request) -> None:
-        self.reserved += self.bytes_for(req)
-        self.peak = max(self.peak, self.reserved)
-
-    def release(self, req: Request) -> None:
-        self.reserved -= self.bytes_for(req)
+def _reservation(req: Request, per_token: int, capacity: Optional[KvCapacity]) -> int:
+    """KV bytes reserved for a request: the most cache it will ever hold."""
+    tokens = req.input_len + req.output_len - 1
+    if capacity is None:
+        return per_token * tokens
+    try:
+        need = per_token * allocated_tokens(capacity.layout, tokens)
+    except ReservedOverflowError as exc:
+        raise CapacityError(f"request {req.id}: {exc}") from exc
+    if need > capacity.total_bytes:
+        raise CapacityError(f"request {req.id} needs {need} B of KV cache, "
+                            f"capacity is {capacity.total_bytes} B")
+    return need
 
 
 class _Seq:
     """Mutable per-request simulation state."""
 
-    __slots__ = ("req", "generated", "s_past", "remaining_prompt", "first_token_s")
+    __slots__ = ("req", "reserved", "s_past", "remaining_prompt", "remaining_output",
+                 "first_token_s")
 
-    def __init__(self, req: Request):
+    def __init__(self, req: Request, reserved: int):
         self.req = req
-        self.generated = 0
+        self.reserved = reserved
         self.s_past = 0
         self.remaining_prompt = req.input_len
+        self.remaining_output = req.output_len
         self.first_token_s = 0.0
 
 
-class _Engine:
-    def __init__(self, trace, timer: _StepTimer, cap: _CapacityTracker):
-        self.timer = timer
-        self.cap = cap
-        self.t = 0.0
-        self.pending = sorted(trace, key=lambda r: (r.arrival_time_s, r.id))
-        self.next_arrival = 0  # index into pending
-        self.waiting: list[Request] = []
-        self.records: list[RequestRecord] = []
-        self.steps: list[StepRecord] = []
-        self.generated_tokens = 0
-
-    def pull_arrivals(self) -> None:
-        while (self.next_arrival < len(self.pending)
-               and self.pending[self.next_arrival].arrival_time_s <= self.t):
-            self.waiting.append(self.pending[self.next_arrival])
-            self.next_arrival += 1
-
-    def has_future_arrivals(self) -> bool:
-        return self.next_arrival < len(self.pending)
-
-    def advance_to_next_arrival(self) -> None:
-        self.t = max(self.t, self.pending[self.next_arrival].arrival_time_s)
-        self.pull_arrivals()
-
-    def log_step(self, start: float, kind: str, batch: int, tokens: int,
-                 generated: int) -> None:
-        self.generated_tokens += generated
-        self.steps.append(StepRecord(start, self.t, kind, batch, tokens,
-                                     generated, self.cap.reserved))
-
-    def complete(self, seq: _Seq) -> None:
-        self.records.append(RequestRecord(
-            id=seq.req.id, arrival_s=seq.req.arrival_time_s,
-            first_token_s=seq.first_token_s, completion_s=self.t,
-            input_len=seq.req.input_len, output_len=seq.req.output_len))
-        self.cap.release(seq.req)
+def _admission_limit(policy: SchedulingPolicy, running: list[_Seq]) -> int:
+    """How many sequences may be resident once this pass's admissions are done."""
+    if isinstance(policy, Static):
+        # Admit only into a batch that has not started its prefill.
+        return policy.batch_size if not running or running[0].remaining_prompt else 0
+    if isinstance(policy, Continuous):
+        return policy.seq_limit
+    # One decode token per running sequence must fit in the budget.
+    return policy.token_budget
 
 
-def _run_static(policy: Static, eng: _Engine) -> None:
-    while eng.next_arrival < len(eng.pending) or eng.waiting:
-        eng.pull_arrivals()
-        if not eng.waiting:
-            eng.advance_to_next_arrival()
-            continue
-        # Fill the batch, waiting for stragglers unless the trace has no more
-        # requests; stop early if the KV reservation budget is hit.
-        batch: list[_Seq] = []
-        while len(batch) < policy.batch_size:
-            if not eng.waiting:
-                if eng.has_future_arrivals():
-                    eng.advance_to_next_arrival()
-                    continue
-                break  # trace exhausted: run the partial batch
-            req = eng.waiting[0]
-            eng.cap.require_feasible(req)
-            if not eng.cap.fits(req) and batch:
-                break
-            eng.waiting.pop(0)
-            eng.cap.reserve(req)
-            seq = _Seq(req)
-            batch.append(seq)
-            eng.t = max(eng.t, req.arrival_time_s)
-
-        m = len(batch)
-        max_in = max(s.req.input_len for s in batch)
-        max_out = max(s.req.output_len for s in batch)
-
-        start = eng.t
-        eng.t += eng.timer.prefill_s(m, max_in)
-        for seq in batch:
-            seq.generated = 1
-            seq.first_token_s = eng.t
-        eng.log_step(start, "prefill", m, sum(s.req.input_len for s in batch), m)
-        for seq in batch:
-            if seq.req.output_len == 1:
-                eng.complete(seq)
-
-        for k in range(1, max_out):
-            s_past = max_in + k - 1
-            start = eng.t
-            eng.t += eng.timer.decode_s(m, s_past)
-            producing = [s for s in batch if s.req.output_len >= k + 1]
-            for seq in producing:
-                seq.generated += 1
-            eng.log_step(start, "decode", m, m, len(producing))
-            for seq in producing:
-                if seq.req.output_len == k + 1:
-                    eng.complete(seq)
-
-
-def _run_continuous(policy: Continuous, eng: _Engine) -> None:
-    running: list[_Seq] = []
-    while eng.next_arrival < len(eng.pending) or eng.waiting or running:
-        eng.pull_arrivals()
-        while eng.waiting and len(running) < policy.seq_limit:
-            req = eng.waiting[0]
-            eng.cap.require_feasible(req)
-            if not eng.cap.fits(req):
-                break
-            eng.waiting.pop(0)
-            eng.cap.reserve(req)
-            running.append(_Seq(req))
-
-        prefills = [s for s in running if s.remaining_prompt > 0]
-        if prefills:
-            seq = prefills[0]
-            start = eng.t
-            eng.t += eng.timer.prefill_s(1, seq.req.input_len)
-            seq.remaining_prompt = 0
-            seq.s_past = seq.req.input_len
-            seq.generated = 1
-            seq.first_token_s = eng.t
-            eng.log_step(start, "prefill", 1, seq.req.input_len, 1)
-            if seq.generated == seq.req.output_len:
-                running.remove(seq)
-                eng.complete(seq)
-        elif running:
-            b = len(running)
-            s_past = max(s.s_past for s in running)
-            start = eng.t
-            eng.t += eng.timer.decode_s(b, s_past)
-            for seq in running:
-                seq.generated += 1
-                seq.s_past += 1
-            eng.log_step(start, "decode", b, b, b)
-            for seq in [s for s in running if s.generated == s.req.output_len]:
-                running.remove(seq)
-                eng.complete(seq)
-        else:
-            eng.advance_to_next_arrival()
-
-
-def _run_splitfuse(policy: SplitFuse, eng: _Engine) -> None:
-    active: list[_Seq] = []
-    while eng.next_arrival < len(eng.pending) or eng.waiting or active:
-        eng.pull_arrivals()
-        # One decode token per running sequence must fit in the budget, so cap
-        # concurrent sequences at token_budget.
-        while eng.waiting and len(active) < policy.token_budget:
-            req = eng.waiting[0]
-            eng.cap.require_feasible(req)
-            if not eng.cap.fits(req):
-                break
-            eng.waiting.pop(0)
-            eng.cap.reserve(req)
-            active.append(_Seq(req))
-
-        if not active:
-            eng.advance_to_next_arrival()
-            continue
-
-        decoding = [s for s in active if s.remaining_prompt == 0]
-        budget_left = policy.token_budget - len(decoding)
-        chunks: list[tuple[_Seq, int]] = []
-        for seq in active:
-            if seq.remaining_prompt == 0 or budget_left == 0:
-                continue
-            chunk = min(seq.remaining_prompt, budget_left)
-            chunks.append((seq, chunk))
-            budget_left -= chunk
-
-        tokens = len(decoding) + sum(c for _, c in chunks)
-        start = eng.t
-        eng.t += eng.timer.prefill_s(1, tokens)
-
-        generated = 0
-        finished: list[_Seq] = []
-        for seq in decoding:
-            seq.generated += 1
-            seq.s_past += 1
-            generated += 1
-            if seq.generated == seq.req.output_len:
-                finished.append(seq)
-        for seq, chunk in chunks:
-            seq.remaining_prompt -= chunk
-            seq.s_past += chunk
-            if seq.remaining_prompt == 0:
-                seq.generated = 1
-                seq.first_token_s = eng.t
-                generated += 1
-                if seq.req.output_len == 1:
-                    finished.append(seq)
-        eng.log_step(start, "mixed", len(decoding) + len(chunks), tokens, generated)
-        for seq in finished:
-            active.remove(seq)
-            eng.complete(seq)
+def _step_items(policy: SchedulingPolicy, running: list[_Seq], waiting: deque,
+                more_arrivals: bool) -> tuple[str, list]:
+    """The next step's kind and (sequence, new_tokens, s_past) items; no items
+    means the engine should wait for the next arrival."""
+    if isinstance(policy, Static):
+        if running and not running[0].remaining_prompt:
+            return "decode", [(s, 1, s.s_past) for s in running]
+        if len(running) < policy.batch_size and not waiting and more_arrivals:
+            return "prefill", []  # wait for stragglers
+        return "prefill", [(s, s.remaining_prompt, s.s_past) for s in running]
+    if isinstance(policy, Continuous):
+        for s in running:
+            if s.remaining_prompt:
+                return "prefill", [(s, s.remaining_prompt, s.s_past)]
+        return "decode", [(s, 1, s.s_past) for s in running]
+    items = [(s, 1, s.s_past) for s in running if not s.remaining_prompt]
+    budget = policy.token_budget - len(items)
+    for s in running:
+        if s.remaining_prompt and budget:
+            chunk = min(s.remaining_prompt, budget)
+            items.append((s, chunk, s.s_past))
+            budget -= chunk
+    return "mixed", items
 
 
 def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
         coeffs: CoefficientPair | tuple[RegressionCoefficients, RegressionCoefficients],
-        capacity: Optional[KvCapacity] = None, seed: int = 0) -> RunResult:
+        capacity: Optional[KvCapacity] = None) -> RunResult:
     """Simulate a trace under a policy; deterministic for fixed inputs.
 
-    The event loop itself draws no randomness (arrival randomization lives in
-    sweep_rates); seed is accepted for interface stability.
+    Each pass of the loop pulls arrivals, admits queued requests in FIFO
+    order up to the policy's limit and the KV capacity, asks the policy for
+    the step's work items, prices the step, and applies its tokens, first
+    tokens and completions.
     """
     if not isinstance(coeffs, CoefficientPair):
         try:
@@ -499,25 +347,74 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
             raise MissingCoefficientError(
                 "coeffs must be a CoefficientPair or a (prefill, decode) pair") from None
         coeffs = CoefficientPair(prefill, decode)
-
-    timer = _StepTimer(cfg, coeffs)
-    cap = _CapacityTracker(capacity, cfg)
-    eng = _Engine(trace, timer, cap)
-    if isinstance(policy, Static):
-        _run_static(policy, eng)
-    elif isinstance(policy, Continuous):
-        _run_continuous(policy, eng)
-    elif isinstance(policy, SplitFuse):
-        _run_splitfuse(policy, eng)
-    else:
+    if not isinstance(policy, (Static, Continuous, SplitFuse)):
         raise TypeError(f"unknown policy: {policy!r}")
+    pads = isinstance(policy, Static)  # finished sequences stay until the batch drains
+
+    per_token = kv_cache_bytes(cfg, 1, 1)
+    pending = [_Seq(req, _reservation(req, per_token, capacity))
+               for req in sorted(trace, key=lambda r: (r.arrival_time_s, r.id))]
+    total = math.inf if capacity is None else capacity.total_bytes
+    waiting: deque[_Seq] = deque()
+    running: list[_Seq] = []
+    records: list[RequestRecord] = []
+    steps: list[StepRecord] = []
+    t = 0.0
+    next_arrival = reserved = peak = generated_tokens = 0
+    while next_arrival < len(pending) or waiting or running:
+        while next_arrival < len(pending) and pending[next_arrival].req.arrival_time_s <= t:
+            waiting.append(pending[next_arrival])
+            next_arrival += 1
+        limit = _admission_limit(policy, running)
+        while waiting and len(running) < limit and reserved + waiting[0].reserved <= total:
+            seq = waiting.popleft()
+            reserved += seq.reserved
+            peak = max(peak, reserved)
+            running.append(seq)
+
+        kind, items = _step_items(policy, running, waiting, next_arrival < len(pending))
+        if not items:
+            t = max(t, pending[next_arrival].req.arrival_time_s)
+            continue
+        start = t
+        t += _price_step(kind, items, cfg, coeffs)
+
+        tokens = generated = 0
+        finished: list[_Seq] = []
+        for seq, new_tokens, _ in items:
+            seq.s_past += new_tokens
+            tokens += new_tokens
+            if seq.remaining_prompt:
+                seq.remaining_prompt -= new_tokens
+                if seq.remaining_prompt:
+                    continue
+                seq.first_token_s = t
+            elif not seq.remaining_output:
+                continue  # padding in a static batch
+            seq.remaining_output -= 1
+            generated += 1
+            if not seq.remaining_output:
+                finished.append(seq)
+        generated_tokens += generated
+        steps.append(StepRecord(start, t, kind, len(items), tokens, generated, reserved))
+        if not finished:
+            continue
+        for seq in finished:
+            req = seq.req
+            records.append(RequestRecord(
+                id=req.id, arrival_s=req.arrival_time_s, first_token_s=seq.first_token_s,
+                completion_s=t, input_len=req.input_len, output_len=req.output_len))
+            reserved -= seq.reserved
+        live = [s for s in running if s.remaining_output]
+        if not pads or not live:
+            running = live
 
     return RunResult(
-        metrics=compute_metrics(eng.records),
-        records=tuple(eng.records),
-        steps=tuple(eng.steps),
-        generated_tokens=eng.generated_tokens,
-        peak_reserved_bytes=cap.peak,
+        metrics=compute_metrics(records),
+        records=tuple(records),
+        steps=tuple(steps),
+        generated_tokens=generated_tokens,
+        peak_reserved_bytes=peak,
         capacity_bytes=None if capacity is None else capacity.total_bytes,
     )
 
@@ -559,7 +456,7 @@ def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
     for rate in rates:
         trace = [replace(req, arrival_time_s=float(offset / rate))
                  for req, offset in zip(base_trace, unit_offsets)]
-        result = run(policy, trace, cfg, coeffs, capacity=capacity, seed=seed)
+        result = run(policy, trace, cfg, coeffs, capacity=capacity)
         trimmed, _ = trim_warmup(result.records)
         out[rate] = compute_metrics(trimmed)
     return out

@@ -13,7 +13,6 @@ from infercost.arch import (
     ModelConfig,
     NonPositiveFieldError,
     Phase,
-    WorkloadPoint,
     load_model_config,
     model_config_from_dict,
     model_preset,
@@ -140,19 +139,9 @@ class TestResolveModel:
             resolve_model("no-such-model")
 
 
-class TestWorkloadPoint:
-    def test_fields(self):
-        pt = WorkloadPoint(batch_size=8, seq_len=512, phase=Phase.PREFILL)
-        assert (pt.batch_size, pt.seq_len, pt.phase) == (8, 512, Phase.PREFILL)
-
-    @pytest.mark.parametrize("b,s", [(0, 1), (1, 0), (-3, 5)])
-    def test_nonpositive_rejected(self, b, s):
-        with pytest.raises(NonPositiveFieldError):
-            WorkloadPoint(batch_size=b, seq_len=s, phase=Phase.DECODE)
-
-    def test_phase_values(self):
-        assert Phase.PREFILL.value == "prefill"
-        assert Phase.DECODE.value == "decode"
+def test_phase_values():
+    assert Phase.PREFILL.value == "prefill"
+    assert Phase.DECODE.value == "decode"
 
 
 @given(n=st.integers(1, 64), d=st.integers(1, 256),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from infercost.arch import ModelConfig, Phase
 from infercost.estimator import RegressionCoefficients
 from infercost.hardware import HARDWARE_PRESETS
-from infercost.kvsim import Paged, TokenGranular, Vanilla
+from infercost.kvsim import Paged, TokenGranular, Vanilla, allocated_tokens
 from infercost.servesim import (
     EMPTY_METRICS,
     METRICS_CSV_HEADER,
@@ -172,6 +172,15 @@ class TestStaticOracle:
         assert [s.kind for s in result.steps] == ["prefill", "decode", "decode"]
         assert [s.generated for s in result.steps] == [2, 1, 1]
         assert result.generated_tokens == 4
+
+    def test_padding_keeps_the_longest_prompt_history(self):
+        # A(in=4,out=1) finishes at the prefill but stays in the batch as
+        # padding, so decode k still prices at s_past = 4 + k - 1: 32, 40 ms.
+        trace = [req(0, 4, 1), req(1, 2, 3)]
+        result = run(Static(2), trace, TINY, ORACLE)
+        durations = [s.end_s - s.start_s for s in result.steps]
+        assert durations == pytest.approx([0.1, 0.032, 0.040])
+        assert [s.generated for s in result.steps] == [2, 1, 1]
 
     def test_batch_waits_for_stragglers(self):
         # B arrives at t=10; a batch of 2 cannot form earlier, so A queues.
@@ -465,3 +474,44 @@ def test_every_request_completes_with_full_output(lens, policy):
     assert result.metrics.completed == len(trace)
     got = {r.id: r.output_len for r in result.records}
     assert got == {r.id: r.output_len for r in trace}
+
+
+@st.composite
+def traces_under_capacity(draw):
+    """A trace with arrivals plus a KV capacity under one of the three layouts
+    that every request fits on its own (tight capacities force queueing)."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8),
+                                     st.floats(0.0, 2.0)), min_size=1, max_size=12))
+    trace = [req(i, inp, out, at=at) for i, (inp, out, at) in enumerate(shapes)]
+    longest = max(r.input_len + r.output_len - 1 for r in trace)
+    layout = draw(st.one_of(st.just(TokenGranular()), st.builds(Paged, st.integers(1, 8)),
+                            st.builds(Vanilla, st.integers(longest, longest + 4))))
+    need = max(16 * allocated_tokens(layout, r.input_len + r.output_len - 1) for r in trace)
+    return trace, KvCapacity(layout, draw(st.integers(need, 4 * need)))
+
+
+ANY_POLICY = st.one_of(
+    st.builds(Static, st.integers(1, 4)),
+    st.builds(Continuous, st.integers(1, 4)),
+    st.builds(Continuous, st.none() | st.integers(1, 4), st.integers(1, 4)),
+    st.builds(SplitFuse, st.integers(1, 8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=traces_under_capacity(), policy=ANY_POLICY)
+def test_invariants_with_arrivals_and_kv_capacity(case, policy):
+    trace, capacity = case
+    result = run(policy, trace, TINY, ORACLE, capacity=capacity)
+    want = sum(r.output_len for r in trace)
+    assert result.generated_tokens == sum(s.generated for s in result.steps) == want
+    assert sorted(r.id for r in result.records) == [r.id for r in trace]
+    for record in result.records:
+        assert record.arrival_s <= record.first_token_s <= record.completion_s
+    for step in result.steps:
+        assert step.end_s >= step.start_s
+        assert step.reserved_bytes <= capacity.total_bytes
+    for earlier, later in zip(result.steps, result.steps[1:]):
+        assert later.start_s >= earlier.start_s
+    assert result.peak_reserved_bytes <= capacity.total_bytes
+    assert run(policy, trace, TINY, ORACLE, capacity=capacity) == result
