@@ -354,9 +354,7 @@ def cmd_memory(args) -> int:
 def cmd_workload(args) -> int:
     trace = workload.generate(args.scenario, args.n, seed=args.seed)
     if args.out is None or args.out == "-":
-        for req in trace:
-            print(f'{{"input_tokens": {req.input_len}, "output_tokens": {req.output_len}, '
-                  f'"arrival_s": {req.arrival_time_s}}}')
+        workload.save_trace(trace, sys.stdout)
     else:
         workload.save_trace(trace, args.out)
         print(f"wrote {len(trace)} requests to {args.out}")
@@ -367,8 +365,7 @@ def _build_policy(args) -> servesim.SchedulingPolicy:
     if args.policy == "static":
         return servesim.Static(batch_size=args.batch_size)
     if args.policy == "continuous":
-        return servesim.Continuous(max_seqs=args.max_seqs,
-                                   max_batch_tokens=args.max_batch_tokens)
+        return servesim.Continuous(max_seqs=args.max_seqs)
     if args.policy == "splitfuse":
         return servesim.SplitFuse(token_budget=args.token_budget)
     raise ValueError(f"unknown policy {args.policy!r}")
@@ -402,8 +399,9 @@ def cmd_simulate(args) -> int:
                                      capacity=capacity, seed=args.seed,
                                      arrival_process=args.arrival_process)
         rows = [(label, rate, swept[rate]) for rate in rates]
-        if len(trace) <= 200 and all(m.completed == 0 for _, _, m in rows):
-            print(f"warning: sweep metrics trim 100 warmup and 100 drain "
+        if all(m.completed == 0 for _, _, m in rows):
+            n = servesim._WARMUP_TRIM
+            print(f"warning: sweep metrics trim {n} warmup and {n} drain "
                   f"requests, which consumed the whole {len(trace)}-request "
                   f"trace; use more requests", file=sys.stderr)
     else:
@@ -491,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, choices=["static", "continuous", "splitfuse"])
     p.add_argument("--batch-size", type=int, default=8, help="static: batch size")
     p.add_argument("--max-seqs", type=int, default=None, help="continuous: sequence cap")
-    p.add_argument("--max-batch-tokens", type=int, default=None,
-                   help="continuous: decode-width cap")
     p.add_argument("--token-budget", type=int, default=512,
                    help="splitfuse: tokens per step")
     p.add_argument("--trace", default=None, help="JSONL trace (overrides --scenario)")

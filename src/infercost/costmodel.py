@@ -1,18 +1,26 @@
-"""Per-operation FLOPs, modeled memory traffic, and arithmetic intensity for
-one decoder layer, in both phases, plus KV-cache footprint.
+"""Per-operation FLOPs, modeled memory traffic (MOPs) and arithmetic
+intensity for one decoder layer, in both phases, plus KV-cache footprint.
 
-FLOP counts use the usual conventions: 2 FLOPs per multiply-accumulate in a
-matmul, 6 per rotary pair (4 mul + 2 add), a lump 4 per attention-score
-element for scale+softmax, 5 per element for residual-add + RMSNorm, and 2
-per element for Swish+multiply.
+Every row comes from one of three formulas, which the two phases call with
+different arguments (w = bytes_per_scalar):
 
-MOPs are an ideal single-pass byte model: every input operand is read once,
-every result written once, every weight matrix read once, all scaled by
-bytes_per_scalar. Real kernels re-read tiles, so modeled MOPs are a lower
-bound on traffic and the resulting arithmetic intensity an upper bound. The
-bound is tight where weight traffic dominates (decode: modeled QKV intensity
-7.98 matches measurement) and loose for prefill matmuls (modeled 1755 vs
-~642 measured).
+  token-wise    the eight ops that act on each of t tokens on their own, with
+                each weight matrix read once per step; prefill t = b*s,
+                decode t = b
+  attention     b sequences, each attending q new tokens over k keys: flops
+                4bqk(h + n), bytes w(2bqh + 2bkh + 2bqkn); prefill q = k = s,
+                decode q = 1 and k = s_past
+  cache update  decode only: the bytes the KV-cache layout moves to append one
+                token per sequence (cache_update_mops)
+
+FLOPs count 2 per multiply-accumulate, 6 per rotary pair, a lump 4 per
+attention-score element for scale+softmax, 5 per element for residual-add +
+RMSNorm, and 2 per element for Swish+multiply. MOPs are an ideal single-pass
+byte model: every operand read once, every result written once. Real kernels
+re-read tiles, so modeled MOPs are a lower bound on traffic and intensity an
+upper bound: tight where weight traffic dominates (decode: modeled QKV
+intensity 7.98 matches measurement), loose for prefill matmuls (modeled 1755
+vs ~642 measured).
 """
 
 from __future__ import annotations
@@ -37,6 +45,10 @@ class OpKind(Enum):
     DOWN_PROJ = "DownProj"
     ADD_NORM_FFN = "AddNormFfn"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with ==; Enum's own __hash__ is a Python call on every kind-keyed lookup.
+    __hash__ = object.__hash__
+
 
 PREFILL_OP_ORDER: tuple[OpKind, ...] = (
     OpKind.QKV_PROJ, OpKind.ROPE, OpKind.ATTENTION, OpKind.OUT_PROJ,
@@ -56,6 +68,15 @@ LINEAR_PROJECTIONS: tuple[OpKind, ...] = (
 )
 
 
+def _intensity(flops: int, mops: int) -> float:
+    """flops / mops; 0 for pure data movement, inf for compute on no bytes."""
+    if flops == 0:
+        return 0.0
+    if mops == 0:
+        return math.inf
+    return flops / mops
+
+
 @dataclass(frozen=True)
 class OpCost:
     """FLOPs, modeled bytes moved, and their ratio for one operation.
@@ -73,13 +94,8 @@ class OpCost:
         if self.flops < 0 or self.mops < 0:
             raise ValueError("flops and mops must be non-negative")
         if self.arithmetic_intensity is None:
-            if self.flops == 0:
-                ai = 0.0
-            elif self.mops == 0:
-                ai = math.inf
-            else:
-                ai = self.flops / self.mops
-            object.__setattr__(self, "arithmetic_intensity", ai)
+            object.__setattr__(self, "arithmetic_intensity",
+                               _intensity(self.flops, self.mops))
 
 
 # KV-cache layouts. They are defined here because decode_op_costs dispatches
@@ -121,28 +137,37 @@ def _require_positive(**values: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _token_ops(cfg: ModelConfig, t: int) -> dict[OpKind, OpCost]:
+    """The eight ops that act on each of t tokens independently, with every
+    weight matrix read once."""
+    h, hf, w = cfg.hidden_size, cfg.intermediate_size, cfg.bytes_per_scalar
+    add_norm_flops, add_norm_mops = 5 * t * h, w * (3 * t * h + h)
+    return {op.kind: op for op in (
+        OpCost(OpKind.QKV_PROJ, 6 * t * h * h, w * (4 * t * h + 3 * h * h)),
+        OpCost(OpKind.ROPE, 6 * t * h, w * 4 * t * h),
+        OpCost(OpKind.OUT_PROJ, 2 * t * h * h, w * (2 * t * h + h * h)),
+        OpCost(OpKind.ADD_NORM_ATTN, add_norm_flops, add_norm_mops),
+        OpCost(OpKind.GATE_UP_PROJ, 4 * t * h * hf, w * (t * h + 2 * h * hf + 2 * t * hf)),
+        OpCost(OpKind.SWISH_MUL, 2 * t * hf, w * 3 * t * hf),
+        OpCost(OpKind.DOWN_PROJ, 2 * t * h * hf, w * (t * hf + h * hf + t * h)),
+        OpCost(OpKind.ADD_NORM_FFN, add_norm_flops, add_norm_mops),
+    )}
+
+
+def _attention(cfg: ModelConfig, b: int, q: int, k: int) -> OpCost:
+    """b sequences, each attending q new tokens over k keys: read Q, K and V,
+    write the output, and write then read the b x n x q x k score matrix."""
+    h, n, w = cfg.hidden_size, cfg.num_heads, cfg.bytes_per_scalar
+    return OpCost(OpKind.ATTENTION, 4 * b * q * k * (h + n),
+                  w * (2 * b * q * h + 2 * b * k * h + 2 * b * q * k * n))
+
+
 def prefill_op_costs(cfg: ModelConfig, b: int, s: int) -> list[OpCost]:
     """Per-operation costs of one decoder layer processing a b x s prompt."""
     _require_positive(b=b, s=s)
-    h, hf, n = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads
-    w = cfg.bytes_per_scalar
-
-    add_norm = OpCost(OpKind.ADD_NORM_ATTN, 5 * b * s * h, w * (3 * b * s * h + h))
-    rows = [
-        OpCost(OpKind.QKV_PROJ, 6 * b * s * h * h, w * (4 * b * s * h + 3 * h * h)),
-        OpCost(OpKind.ROPE, 6 * b * s * h, w * 4 * b * s * h),
-        OpCost(OpKind.ATTENTION, 4 * b * s * s * h + 4 * b * s * s * n,
-               w * (4 * b * s * h + 2 * b * s * s * n)),
-        OpCost(OpKind.OUT_PROJ, 2 * b * s * h * h, w * (2 * b * s * h + h * h)),
-        add_norm,
-        OpCost(OpKind.GATE_UP_PROJ, 4 * b * s * h * hf,
-               w * (b * s * h + 2 * h * hf + 2 * b * s * hf)),
-        OpCost(OpKind.SWISH_MUL, 2 * b * s * hf, w * 3 * b * s * hf),
-        OpCost(OpKind.DOWN_PROJ, 2 * b * s * h * hf,
-               w * (b * s * hf + h * hf + b * s * h)),
-        OpCost(OpKind.ADD_NORM_FFN, add_norm.flops, add_norm.mops),
-    ]
-    return rows
+    ops = _token_ops(cfg, b * s)
+    ops[OpKind.ATTENTION] = _attention(cfg, b, s, s)
+    return [ops[kind] for kind in PREFILL_OP_ORDER]
 
 
 def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int) -> int:
@@ -168,26 +193,11 @@ def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
     """Per-operation costs of one decoder layer generating one token per
     sequence with s_past cached tokens each."""
     _require_positive(b=b, s_past=s_past)
-    h, hf, n = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads
-    w = cfg.bytes_per_scalar
-
     cache_mops = cache_update_mops(cache_layout, cfg, b, s_past)
-    add_norm = OpCost(OpKind.ADD_NORM_ATTN, 5 * b * h, w * (3 * b * h + h))
-    rows = [
-        OpCost(OpKind.QKV_PROJ, 6 * b * h * h, w * (4 * b * h + 3 * h * h)),
-        OpCost(OpKind.ROPE, 6 * b * h, w * 4 * b * h),
-        OpCost(OpKind.CACHE_UPDATE, 0, cache_mops),
-        OpCost(OpKind.ATTENTION, 4 * b * s_past * h + 4 * b * s_past * n,
-               w * (2 * b * s_past * h + 2 * b * s_past * n + 2 * b * h)),
-        OpCost(OpKind.OUT_PROJ, 2 * b * h * h, w * (2 * b * h + h * h)),
-        add_norm,
-        OpCost(OpKind.GATE_UP_PROJ, 4 * b * h * hf,
-               w * (b * h + 2 * h * hf + 2 * b * hf)),
-        OpCost(OpKind.SWISH_MUL, 2 * b * hf, w * 3 * b * hf),
-        OpCost(OpKind.DOWN_PROJ, 2 * b * h * hf, w * (b * hf + h * hf + b * h)),
-        OpCost(OpKind.ADD_NORM_FFN, add_norm.flops, add_norm.mops),
-    ]
-    return rows
+    ops = _token_ops(cfg, b)
+    ops[OpKind.CACHE_UPDATE] = OpCost(OpKind.CACHE_UPDATE, 0, cache_mops)
+    ops[OpKind.ATTENTION] = _attention(cfg, b, 1, s_past)
+    return [ops[kind] for kind in DECODE_OP_ORDER]
 
 
 @dataclass(frozen=True)
@@ -200,9 +210,7 @@ class ModelCost:
 
     @property
     def arithmetic_intensity(self) -> float:
-        if self.total_flops == 0:
-            return 0.0
-        return self.total_flops / self.total_mops
+        return _intensity(self.total_flops, self.total_mops)
 
     # Aliases so a ModelCost quacks like an OpCost for roofline queries.
     @property

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,7 +110,7 @@ def predict(coeffs: RegressionCoefficients, features) -> float:
         raise DimensionMismatchError(
             f"feature vector has {len(features)} entries, "
             f"{coeffs.phase.value} coefficients expect {len(coeffs.values)}")
-    return float(sum(c * f for c, f in zip(coeffs.values, features)))
+    return float(sum(map(operator.mul, coeffs.values, features)))
 
 
 def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int, s: int) -> float:

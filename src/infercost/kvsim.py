@@ -80,19 +80,24 @@ def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> Cac
                       wasted_bytes=allocated - live, peak_allocated_bytes=allocated)
 
 
+def _free_kv_bytes(hw: HardwareSpec, model_weight_bytes: int) -> int:
+    """Device memory left for the KV cache beside the model weights."""
+    if model_weight_bytes < 0:
+        raise ValueError(f"model_weight_bytes must be >= 0, got {model_weight_bytes}")
+    if model_weight_bytes >= hw.memory_bytes:
+        raise ValueError(f"model weights ({model_weight_bytes} B) do not fit in "
+                         f"{hw.name} memory ({hw.memory_bytes} B)")
+    return hw.memory_bytes - model_weight_bytes
+
+
 def max_concurrency(layout: CacheLayout, cfg: ModelConfig, hw: HardwareSpec,
                     model_weight_bytes: int, per_seq_len: int) -> int:
     """Largest number of per_seq_len-token sequences whose cache fits beside
     the weights in hw memory. Zero is a valid answer."""
-    if model_weight_bytes < 0:
-        raise ValueError("model_weight_bytes must be >= 0")
-    if model_weight_bytes >= hw.memory_bytes:
-        raise ValueError(f"model weights ({model_weight_bytes} B) do not fit in "
-                         f"{hw.name} memory ({hw.memory_bytes} B)")
+    free = _free_kv_bytes(hw, model_weight_bytes)
     if per_seq_len < 1:
         raise ValueError(f"per_seq_len must be >= 1, got {per_seq_len}")
     per_seq_bytes = kv_cache_bytes(cfg, 1, 1) * allocated_tokens(layout, per_seq_len)
-    free = hw.memory_bytes - model_weight_bytes
     return free // per_seq_bytes
 
 

@@ -18,7 +18,7 @@ whether finished sequences vacate:
                exhausted; one prefill step over the whole batch, then decode
                steps until the batch drains. Finished sequences stay in the
                batch as padding and keep advancing their s_past.
-  Continuous - admits up to seq_limit sequences at every step boundary; each
+  Continuous - admits up to max_seqs sequences at every step boundary; each
                admission runs one exclusive prefill step, then joins
                per-token decoding. Finished sequences vacate immediately.
   SplitFuse  - admits up to token_budget sequences; every step is mixed: one
@@ -58,7 +58,7 @@ from .arch import ModelConfig, Phase
 from .costmodel import kv_cache_bytes
 from .estimator import RegressionCoefficients, predict_at
 from .hardware import HardwareSpec
-from .kvsim import CacheLayout, ReservedOverflowError, allocated_tokens
+from .kvsim import CacheLayout, ReservedOverflowError, _free_kv_bytes, allocated_tokens
 
 
 class CapacityError(ValueError):
@@ -94,21 +94,13 @@ class Static:
 
 @dataclass(frozen=True)
 class Continuous:
-    max_seqs: Optional[int] = None
-    max_batch_tokens: Optional[int] = None
+    max_seqs: int
 
     def __post_init__(self) -> None:
-        if self.max_seqs is None and self.max_batch_tokens is None:
-            raise ValueError("Continuous needs max_seqs and/or max_batch_tokens")
-        for name in ("max_seqs", "max_batch_tokens"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-
-    @property
-    def seq_limit(self) -> int:
-        limits = [v for v in (self.max_seqs, self.max_batch_tokens) if v is not None]
-        return min(limits)
+        if self.max_seqs is None:
+            raise ValueError("Continuous needs max_seqs")
+        if self.max_seqs < 1:
+            raise ValueError(f"max_seqs must be >= 1, got {self.max_seqs}")
 
 
 @dataclass(frozen=True)
@@ -127,12 +119,7 @@ def describe_policy(policy: SchedulingPolicy) -> str:
     if isinstance(policy, Static):
         return f"static(batch_size={policy.batch_size})"
     if isinstance(policy, Continuous):
-        parts = []
-        if policy.max_seqs is not None:
-            parts.append(f"max_seqs={policy.max_seqs}")
-        if policy.max_batch_tokens is not None:
-            parts.append(f"max_batch_tokens={policy.max_batch_tokens}")
-        return f"continuous({','.join(parts)})"
+        return f"continuous(max_seqs={policy.max_seqs})"
     if isinstance(policy, SplitFuse):
         return f"splitfuse(token_budget={policy.token_budget})"
     raise TypeError(f"unknown policy: {policy!r}")
@@ -166,10 +153,11 @@ class KvCapacity:
     @classmethod
     def from_hardware(cls, layout: CacheLayout, hw: HardwareSpec,
                       model_weight_bytes: int) -> "KvCapacity":
-        if model_weight_bytes >= hw.memory_bytes:
-            raise CapacityError(f"model weights ({model_weight_bytes} B) do not fit in "
-                                f"{hw.name} memory ({hw.memory_bytes} B)")
-        return cls(layout, hw.memory_bytes - model_weight_bytes)
+        try:
+            free = _free_kv_bytes(hw, model_weight_bytes)
+        except ValueError as exc:
+            raise CapacityError(str(exc)) from exc
+        return cls(layout, free)
 
 
 @dataclass(frozen=True)
@@ -300,7 +288,7 @@ def _admission_limit(policy: SchedulingPolicy, running: list[_Seq]) -> int:
         # Admit only into a batch that has not started its prefill.
         return policy.batch_size if not running or running[0].remaining_prompt else 0
     if isinstance(policy, Continuous):
-        return policy.seq_limit
+        return policy.max_seqs
     # One decode token per running sequence must fit in the budget.
     return policy.token_budget
 
@@ -419,7 +407,10 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
     )
 
 
-def trim_warmup(records, n: int = 100) -> tuple[list[RequestRecord], bool]:
+_WARMUP_TRIM = 100  # completions trim_warmup drops at each end by default
+
+
+def trim_warmup(records, n: int = _WARMUP_TRIM) -> tuple[list[RequestRecord], bool]:
     """Drop the first and last n completions; (records, warning) tuple.
 
     The warning flag is set when 2n or fewer records exist, in which case the

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,9 @@ def generate(scenario: Scenario | str, n: int, seed: int = 0) -> list[Request]:
 
 
 def save_trace(trace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a trace as JSONL to a path or to an open text stream."""
+    stream = hasattr(path, "write")
+    with nullcontext(path) if stream else open(path, "w", encoding="utf-8") as fh:
         for req in trace:
             record = {"input_tokens": req.input_len, "output_tokens": req.output_len,
                       "arrival_s": req.arrival_time_s}

@@ -288,6 +288,14 @@ class TestWorkloadCommand:
         trace = workload.load_trace(path)
         assert trace == workload.generate("long-to-short", 12, seed=1)
 
+    def test_stdout_is_byte_equal_to_file_output(self, capsysbinary, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        flags = ("workload", "--scenario", "short-to-long", "--n", "9", "--seed", "4")
+        assert main([*flags]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main([*flags, "--out", str(path)]) == 0
+        assert stdout == path.read_bytes()
+
 
 class TestSimulate:
     def test_single_run_metrics_csv(self, capsys, coeff_files):
@@ -365,7 +373,31 @@ class TestSimulate:
                                "--decode-coeffs", decode_json,
                                "--policy", "continuous")
         assert code == 2
-        assert "max_seqs and/or max_batch_tokens" in err
+        assert "Continuous needs max_seqs" in err
+
+    def test_negative_weight_bytes_is_clean_error(self, capsys, coeff_files):
+        prefill_json, decode_json = coeff_files
+        code, _, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                               "--prefill-coeffs", prefill_json,
+                               "--decode-coeffs", decode_json,
+                               "--policy", "static", "--hardware", "a800",
+                               "--weight-bytes=-1e9")
+        assert code == 2
+        assert "model_weight_bytes must be >= 0" in err
+
+    def test_sweep_warns_when_trimming_consumes_the_trace(self, capsys, coeff_files):
+        prefill_json, decode_json = coeff_files
+        code, out, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                                 "--prefill-coeffs", prefill_json,
+                                 "--decode-coeffs", decode_json,
+                                 "--policy", "continuous", "--max-seqs", "32",
+                                 "--scenario", "short-to-short", "--n", "40",
+                                 "--rates", "2,8")
+        assert code == 0
+        assert "trim 100 warmup and 100 drain requests" in err
+        assert "whole 40-request trace" in err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [int(r[7]) for r in rows[1:]] == [0, 0]
 
 
 class TestParserErrors:

@@ -10,6 +10,7 @@ from infercost import (
     DECODE_OP_ORDER,
     PREFILL_OP_ORDER,
     ModelConfig,
+    ModelCost,
     OpCost,
     OpKind,
     Paged,
@@ -123,6 +124,12 @@ def test_opcost_derives_intensity():
         OpCost(OpKind.QKV_PROJ, flops=-1, mops=4)
 
 
+@pytest.mark.parametrize("flops,mops", [(10, 4), (0, 4), (0, 0), (5, 0)])
+def test_model_cost_intensity_follows_opcost_rule(flops, mops):
+    total = ModelCost(flops, mops, {})
+    assert total.arithmetic_intensity == OpCost(OpKind.QKV_PROJ, flops, mops).arithmetic_intensity
+
+
 # --- scaling properties ------------------------------------------------------
 
 @given(b=st.integers(1, 16), s=st.integers(1, 512))
@@ -155,6 +162,18 @@ def test_decode_only_attention_and_cache_depend_on_history(s_past):
         assert later[name].flops == base[name].flops
         assert later[name].mops == base[name].mops
     assert later["Attention"].flops == s_past * base["Attention"].flops
+
+
+@given(b=st.integers(1, 64), s_past=st.integers(1, 4096),
+       layout=st.sampled_from([Paged(16), Vanilla(8192), TokenGranular()]))
+@settings(max_examples=60, deadline=None)
+def test_decode_token_wise_rows_equal_prefill_of_one_token(b, s_past, layout):
+    decode = by_kind(decode_op_costs(LLAMA7B, b, s_past, cache_layout=layout))
+    prefill = by_kind(prefill_op_costs(LLAMA7B, b, 1))
+    assert set(decode) - set(prefill) == {"CacheUpdate"}
+    for name, cost in prefill.items():
+        if name != "Attention":
+            assert decode[name] == cost, name
 
 
 def test_cache_update_layout_sensitivity():

@@ -68,15 +68,12 @@ class TestPolicyValidation:
         assert describe_policy(Static(4)) == "static(batch_size=4)"
 
     def test_continuous_needs_a_limit(self):
-        with pytest.raises(ValueError, match="max_seqs and/or max_batch_tokens"):
-            Continuous()
+        with pytest.raises(ValueError, match="Continuous needs max_seqs"):
+            Continuous(max_seqs=None)
         with pytest.raises(ValueError, match="max_seqs must be >= 1"):
             Continuous(max_seqs=0)
 
     def test_continuous_seq_limit_is_min_of_set_limits(self):
-        assert Continuous(max_seqs=32).seq_limit == 32
-        assert Continuous(max_batch_tokens=16).seq_limit == 16
-        assert Continuous(max_seqs=32, max_batch_tokens=16).seq_limit == 16
         assert describe_policy(Continuous(max_seqs=32)) == "continuous(max_seqs=32)"
 
     def test_splitfuse(self):
@@ -292,6 +289,10 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="do not fit"):
             KvCapacity.from_hardware(Paged(16), a800, 80 * 10 ** 9)
 
+    def test_from_hardware_rejects_negative_weights(self):
+        with pytest.raises(CapacityError, match="model_weight_bytes must be >= 0"):
+            KvCapacity.from_hardware(Paged(16), HARDWARE_PRESETS["a800"], -10 ** 9)
+
     def test_reservation_released_on_completion(self):
         # Capacity holds exactly one 48 B request, so the second can only be
         # admitted if the first's reservation was released; every step then
@@ -493,7 +494,6 @@ def traces_under_capacity(draw):
 ANY_POLICY = st.one_of(
     st.builds(Static, st.integers(1, 4)),
     st.builds(Continuous, st.integers(1, 4)),
-    st.builds(Continuous, st.none() | st.integers(1, 4), st.integers(1, 4)),
     st.builds(SplitFuse, st.integers(1, 8)),
 )
 
