@@ -9,6 +9,12 @@ features with fitted coefficients:
   decode:  (b*s*h*l, b*s*n*l, b*h*l, 1)
            named (phi, psi, omega, nu)
 
+A prediction adds the coefficient-feature products left to right. The decode
+model also takes an int64 array of context lengths s and then returns one
+prediction per entry, each bit-identical to the scalar call at that s: the
+integer products are exact either way, int64 -> float64 rounds like float(),
+and the element-wise adds follow the same order.
+
 The intercept absorbs per-step fixed overhead (kernel launches, scheduler);
 it may be negative (unconstrained OLS), so predictions for tiny workloads can
 dip below zero — consumers that need a duration clamp at zero.
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +40,7 @@ import numpy as np
 from .arch import DimensionMismatchError, ModelConfig, Phase
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
+_INT64_MAX = np.iinfo(np.int64).max
 
 PREFILL_COEFF_NAMES: tuple[str, ...] = ("alpha", "beta", "gamma", "eta", "lambda", "mu")
 DECODE_COEFF_NAMES: tuple[str, ...] = ("phi", "psi", "omega", "nu")
@@ -92,15 +98,33 @@ def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
             float(b * s * hf * l), 1.0)
 
 
-def decode_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
+def _exact_float(x):
+    """float(x) of an int; the same round-to-nearest per entry of an int64 array."""
+    return x.astype(np.float64) if isinstance(x, np.ndarray) else float(x)
+
+
+def decode_features(cfg: ModelConfig, b: int, s) -> tuple:
+    """Decode features at context length s: an int, or an int64 array giving
+    one float64 array per s-dependent feature."""
     h, n, l = cfg.hidden_size, cfg.num_heads, cfg.num_layers
-    return (float(b * s * h * l), float(b * s * n * l), float(b * h * l), 1.0)
+    if isinstance(s, np.ndarray) and s.size and b * int(s.max()) * max(h, n) * l > _INT64_MAX:
+        raise OverflowError("decode features overflow int64 at this s")
+    return (_exact_float(b * s * h * l), _exact_float(b * s * n * l), float(b * h * l), 1.0)
 
 
 def features_for(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[float, ...]:
     if phase is Phase.PREFILL:
         return prefill_features(cfg, b, s)
     return decode_features(cfg, b, s)
+
+
+def _weighted_sum(values, features):
+    # An explicit left-to-right add: sum() compensates float sums on Python
+    # >= 3.12 but not array sums, which would split the scalar and array paths.
+    total = 0.0
+    for c, f in zip(values, features):
+        total = total + c * f
+    return total
 
 
 def predict(coeffs: RegressionCoefficients, features) -> float:
@@ -110,11 +134,14 @@ def predict(coeffs: RegressionCoefficients, features) -> float:
         raise DimensionMismatchError(
             f"feature vector has {len(features)} entries, "
             f"{coeffs.phase.value} coefficients expect {len(coeffs.values)}")
-    return float(sum(map(operator.mul, coeffs.values, features)))
+    return float(_weighted_sum(coeffs.values, features))
 
 
-def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int, s: int) -> float:
-    return predict(coeffs, features_for(cfg, b, s, coeffs.phase))
+def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int,
+               s) -> float | np.ndarray:
+    """Predicted milliseconds at (b, s); a decode int64 s array gives an array."""
+    total = _weighted_sum(coeffs.values, features_for(cfg, b, s, coeffs.phase))
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,18 @@ One function prices every step from its kind and items:
   decode  -> decode model at (len(items), max s_past)
   mixed   -> prefill model at (1, sum of new_tokens)
 
+Decode spans: between two scheduler events a batch whose items are all
+one-token decodes keeps its sequences and its admission state, and each
+step's s_past grows by one. The engine advances such a stretch in one pass:
+it prices every step with one array evaluation of the decode model (a mixed
+step of decode tokens only has one constant price), takes the boundaries as
+a left-to-right cumulative sum, exactly like adding the steps one by one,
+and appends one StepRecord per step. A span ends before the step that
+completes a sequence and before the first step that starts at or after the
+next arrival; those steps, and every step that carries a prompt token, run
+one at a time. Simulator cost therefore scales with scheduler events, not
+with generated tokens, and the records equal those of a step-by-step loop.
+
 KV accounting: admission reserves the maximum cache a request will ever hold
 (input_len + output_len - 1 tokens, rounded up per the capacity's layout) and
 releases it on completion. Each reservation is computed once, before the
@@ -48,6 +60,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
@@ -79,8 +92,9 @@ class Request:
     def __post_init__(self) -> None:
         if self.input_len < 1 or self.output_len < 1:
             raise ValueError(f"request {self.id}: input_len and output_len must be >= 1")
-        if self.arrival_time_s < 0:
-            raise ValueError(f"request {self.id}: arrival_time_s must be >= 0")
+        if not (math.isfinite(self.arrival_time_s) and self.arrival_time_s >= 0):
+            raise ValueError(f"request {self.id}: arrival_time_s must be finite and >= 0, "
+                             f"got {self.arrival_time_s!r}")
 
 
 @dataclass(frozen=True)
@@ -252,6 +266,30 @@ def _price_step(kind: str, items, cfg: ModelConfig, coeffs: CoefficientPair) -> 
     return max(0.0, ms) / 1000.0
 
 
+def _decode_span(kind: str, items, t: float, arrival_s: Optional[float],
+                 cfg: ModelConfig, coeffs: CoefficientPair) -> Optional[list[float]]:
+    """Boundaries [t, t_1, ..., t_n] of the decode-only steps from t up to the
+    next scheduler event, or None when the next step is itself an event (it
+    carries a prompt token or completes a sequence). arrival_s is the next
+    arrival, None when no request is still to arrive."""
+    if kind == "prefill" or any(seq.remaining_prompt for seq, _, _ in items):
+        return None
+    n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output) - 1
+    if n < 1:
+        return None
+    if kind == "decode":
+        s_past = max(map(_S_PAST, items))
+        ms = predict_at(coeffs.decode, cfg, len(items),
+                        np.arange(s_past, s_past + n, dtype=np.int64))
+        durations = np.where(ms > 0.0, ms, 0.0) / 1000.0  # max(0.0, ms) per step
+    else:  # a mixed step of decode tokens only is priced by its token count
+        durations = np.full(n, _price_step(kind, items, cfg, coeffs))
+    bounds = np.cumsum(np.concatenate(([t], durations)))
+    if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
+        n = int(np.searchsorted(bounds[:n], arrival_s))
+    return bounds[:n + 1].tolist()
+
+
 def _reservation(req: Request, per_token: int, capacity: Optional[KvCapacity]) -> int:
     """KV bytes reserved for a request: the most cache it will ever hold."""
     tokens = req.input_len + req.output_len - 1
@@ -325,8 +363,9 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
 
     Each pass of the loop pulls arrivals, admits queued requests in FIFO
     order up to the policy's limit and the KV capacity, asks the policy for
-    the step's work items, prices the step, and applies its tokens, first
-    tokens and completions.
+    the step's work items, and either advances a decode span to the next
+    event or prices one step and applies its tokens, first tokens and
+    completions.
     """
     if not isinstance(coeffs, CoefficientPair):
         try:
@@ -360,9 +399,26 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
             peak = max(peak, reserved)
             running.append(seq)
 
-        kind, items = _step_items(policy, running, waiting, next_arrival < len(pending))
+        arrival_s = (pending[next_arrival].req.arrival_time_s
+                     if next_arrival < len(pending) else None)
+        kind, items = _step_items(policy, running, waiting, arrival_s is not None)
         if not items:
-            t = max(t, pending[next_arrival].req.arrival_time_s)
+            t = max(t, arrival_s)
+            continue
+        bounds = _decode_span(kind, items, t, arrival_s, cfg, coeffs)
+        if bounds:
+            n = len(bounds) - 1
+            generating = 0
+            for seq, _, _ in items:
+                seq.s_past += n
+                if seq.remaining_output:
+                    seq.remaining_output -= n
+                    generating += 1
+            generated_tokens += n * generating
+            steps.extend(map(StepRecord, bounds[:-1], bounds[1:], repeat(kind, n),
+                             repeat(len(items), n), repeat(len(items), n),
+                             repeat(generating, n), repeat(reserved, n)))
+            t = bounds[-1]
             continue
         start = t
         t += _price_step(kind, items, cfg, coeffs)

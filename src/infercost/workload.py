@@ -10,13 +10,16 @@ range (inclusive bounds):
 
 Traces serialize as JSON Lines with one request per line:
   {"input_tokens": <int>, "output_tokens": <int>, "arrival_s": <float>}
-arrival_s is optional and defaults to 0 on load.
+arrival_s is optional and defaults to 0 on load. Loading is strict: token
+counts must be JSON integers (not booleans, floats or strings) and arrival_s
+a finite, non-negative JSON number.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -64,6 +67,20 @@ def save_trace(trace, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _json_int(record: dict, key: str) -> int:
+    value = record[key]
+    if type(value) is not int:  # bool is an int subclass; 3.0 and "3" are not ints
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_seconds(record: dict, key: str) -> float:
+    value = record.get(key, 0.0)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite JSON number, got {value!r}")
+    return float(value)
+
+
 def load_trace(path) -> list[Request]:
     """Parse a JSONL trace; errors carry the 1-based line number."""
     trace: list[Request] = []
@@ -83,13 +100,13 @@ def load_trace(path) -> list[Request]:
             try:
                 req = Request(
                     id=len(trace),
-                    input_len=int(record["input_tokens"]),
-                    output_len=int(record["output_tokens"]),
-                    arrival_time_s=float(record.get("arrival_s", 0.0)),
+                    input_len=_json_int(record, "input_tokens"),
+                    output_len=_json_int(record, "output_tokens"),
+                    arrival_time_s=_json_seconds(record, "arrival_s"),
                 )
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             trace.append(req)
     return trace

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infercost.arch import DimensionMismatchError, ModelConfig, Phase
 from infercost.estimator import (
@@ -98,6 +100,27 @@ class TestPredict:
     def test_intercept_only(self):
         coeffs = RegressionCoefficients(Phase.PREFILL, (0, 0, 0, 0, 0, 41.5))
         assert predict_at(coeffs, LLAMA7B, 16, 2048) == 41.5
+
+    def test_decode_array_overflowing_int64_is_rejected(self):
+        with pytest.raises(OverflowError, match="int64"):
+            decode_features(LLAMA7B, 8, np.array([1, 2**45], dtype=np.int64))
+
+
+FINITE = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.tuples(FINITE, FINITE, FINITE, FINITE),
+       cfg=st.sampled_from([LLAMA7B, ModelConfig(4, 8, 2, 2, 1),
+                            ModelConfig(5120, 13824, 40, 128, 40)]),
+       b=st.integers(1, 256), s=st.lists(st.integers(0, 200_000), min_size=1, max_size=40))
+def test_decode_predict_at_array_equals_scalar_calls(values, cfg, b, s):
+    coeffs = RegressionCoefficients(Phase.DECODE, values)
+    scaled = tuple(v * 10.0 ** -e for v, e in zip(values, (9, 7, 6, 0)))
+    for c in (coeffs, RegressionCoefficients(Phase.DECODE, scaled)):
+        got = predict_at(c, cfg, b, np.array(s, dtype=np.int64))
+        assert got.dtype == np.float64
+        assert got.tolist() == [predict_at(c, cfg, b, x) for x in s]
 
 
 def _synthetic_design(phase, true_values):

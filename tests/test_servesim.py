@@ -60,6 +60,12 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="arrival_time_s"):
             req(0, 1, 1, at=-0.5)
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
+    def test_arrival_must_be_finite(self, at):
+        # A NaN arrival is never <= the clock, so run() would wait for it forever.
+        with pytest.raises(ValueError, match="arrival_time_s must be finite"):
+            req(0, 1, 1, at=at)
+
 
 class TestPolicyValidation:
     def test_static(self):

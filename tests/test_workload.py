@@ -1,5 +1,7 @@
 """Scenario trace generation bounds, determinism, and JSONL persistence."""
 
+import json
+
 import pytest
 
 from infercost.servesim import Request
@@ -116,6 +118,26 @@ class TestPersistence:
         path.write_text('{"input_tokens": 0, "output_tokens": 1}\n')
         with pytest.raises(ValueError, match=":1:"):
             load_trace(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("input_tokens", 3.7, "input_tokens must be a JSON integer"),
+        ("input_tokens", 3.0, "input_tokens must be a JSON integer"),
+        ("input_tokens", "3", "input_tokens must be a JSON integer"),
+        ("output_tokens", True, "output_tokens must be a JSON integer"),
+        ("output_tokens", None, "output_tokens must be a JSON integer"),
+        ("arrival_s", "2", "arrival_s must be a finite JSON number"),
+        ("arrival_s", False, "arrival_s must be a finite JSON number"),
+        ("arrival_s", float("nan"), "arrival_s must be a finite JSON number"),
+        ("arrival_s", float("inf"), "arrival_s must be a finite JSON number"),
+        ("arrival_s", 10**400, "int too large to convert to float"),
+    ])
+    def test_values_parse_strictly(self, tmp_path, field, value, message):
+        record = {"input_tokens": 3, "output_tokens": 2, "arrival_s": 0.5, field: value}
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"input_tokens": 1, "output_tokens": 1}\n' + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=f"trace.jsonl:2: {message}") as info:
+            load_trace(path)
+        assert str(path) in str(info.value)
 
     def test_generated_trace_survives_round_trip(self, tmp_path):
         trace = generate(Scenario.LONG_TO_SHORT, 64, seed=5)
