@@ -37,7 +37,9 @@ step's s_past grows by one. The engine advances such a stretch in one pass:
 it prices every step with one array evaluation of the decode model (a mixed
 step of decode tokens only has one constant price), takes the boundaries as
 a left-to-right cumulative sum, exactly like adding the steps one by one,
-and appends one StepRecord per step. A span ends before the step that
+and appends one StepRecord per step. StepRecord is a NamedTuple, so a span
+builds its records in C from zipped columns, without a Python-level call per
+record; single steps call StepRecord(...). A span ends before the step that
 completes a sequence and before the first step that starts at or after the
 next arrival; those steps, and every step that carries a prompt token, run
 one at a time. Simulator cost therefore scales with scheduler events, not
@@ -60,10 +62,11 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -192,8 +195,7 @@ class RequestRecord:
         return self.latency_s / self.output_len
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     start_s: float
     end_s: float
     kind: str  # prefill | decode | mixed
@@ -201,6 +203,11 @@ class StepRecord:
     tokens: int  # tokens carried by the step
     generated: int  # output tokens produced at the step boundary
     reserved_bytes: int
+
+
+# A StepRecord from one 7-tuple, built in C without the Python-level __new__
+# that StepRecord(...) runs; decode spans build one per simulated step.
+_new_step_record = partial(tuple.__new__, StepRecord)
 
 
 @dataclass(frozen=True)
@@ -415,9 +422,9 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
                     seq.remaining_output -= n
                     generating += 1
             generated_tokens += n * generating
-            steps.extend(map(StepRecord, bounds[:-1], bounds[1:], repeat(kind, n),
-                             repeat(len(items), n), repeat(len(items), n),
-                             repeat(generating, n), repeat(reserved, n)))
+            steps.extend(map(_new_step_record, zip(
+                bounds[:-1], bounds[1:], repeat(kind, n), repeat(len(items), n),
+                repeat(len(items), n), repeat(generating, n), repeat(reserved, n))))
             t = bounds[-1]
             continue
         start = t
@@ -486,11 +493,15 @@ def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
 
     Arrival offsets are drawn once per seed at unit rate (exponential gaps for
     poisson, constant gaps for uniform) and divided by each rate, so rates
-    share randomness and differ only in time scale.
+    share randomness and differ only in time scale. Rates must be finite,
+    positive and distinct, since the result is keyed by rate.
     """
     rates = [float(r) for r in rates]
-    if any(r <= 0 for r in rates):
-        raise ValueError("rates must be positive")
+    for i, rate in enumerate(rates):
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"rates must be finite and positive, got {rate!r}")
+        if rate in rates[:i]:
+            raise ValueError(f"rate {rate!r} is repeated")
     if arrival_process == "poisson":
         gaps = np.random.default_rng(seed).exponential(1.0, size=len(base_trace))
     elif arrival_process == "uniform":

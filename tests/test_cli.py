@@ -399,6 +399,18 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))
         assert [int(r[7]) for r in rows[1:]] == [0, 0]
 
+    def test_sweep_rejects_an_infinite_rate(self, capsys, coeff_files):
+        prefill_json, decode_json = coeff_files
+        code, out, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                                 "--prefill-coeffs", prefill_json,
+                                 "--decode-coeffs", decode_json,
+                                 "--policy", "continuous", "--max-seqs", "32",
+                                 "--scenario", "short-to-short", "--n", "4",
+                                 "--rates", "1,inf")
+        assert code == 2
+        assert out == ""
+        assert "rates must be finite and positive, got inf" in err
+
 
 class TestParserErrors:
     def test_unknown_flag_exits_2(self, capsys):

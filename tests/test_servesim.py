@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infercost import servesim
 from infercost.arch import ModelConfig, Phase
 from infercost.estimator import RegressionCoefficients
 from infercost.hardware import HARDWARE_PRESETS
@@ -30,6 +31,7 @@ from infercost.servesim import (
     ServingMetrics,
     SplitFuse,
     Static,
+    StepRecord,
     compute_metrics,
     describe_policy,
     metrics_csv_text,
@@ -384,6 +386,18 @@ class TestSweepRates:
             sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [1.0, 0.0],
                         TINY, ORACLE)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_rates_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"finite and positive, got {bad!r}"):
+            sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [1.0, bad],
+                        TINY, ORACLE)
+
+    def test_repeated_rate_is_rejected(self):
+        # 2 and 2.0 are the same dict key: one of the two runs would be lost.
+        with pytest.raises(ValueError, match=r"rate 2\.0 is repeated"):
+            sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [2, 1.0, 2.0],
+                        TINY, ORACLE)
+
     def test_unknown_arrival_process(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
             sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [1.0],
@@ -469,6 +483,33 @@ class TestInvariantsAcrossPolicies:
     def test_empty_trace(self, policy):
         result = run(policy, [], TINY, ORACLE)
         assert result == RunResult(EMPTY_METRICS, (), (), 0, 0, None)
+
+    def test_step_record_contract(self, policy, monkeypatch):
+        # Decode spans and single steps must build the same record type.
+        span_steps = []
+
+        def spy(*args):
+            bounds = decode_span(*args)
+            if bounds:
+                span_steps.append(len(bounds) - 1)
+            return bounds
+
+        decode_span = servesim._decode_span
+        monkeypatch.setattr(servesim, "_decode_span", spy)
+        trace = [req(0, 2, 6), req(1, 3, 4), req(2, 1, 5, at=0.5)]
+        steps = run(policy, trace, TINY, ORACLE).steps
+        assert 0 < sum(span_steps) < len(steps)
+        assert StepRecord._fields == ("start_s", "end_s", "kind", "batch", "tokens",
+                                      "generated", "reserved_bytes")
+        for step in steps:
+            assert type(step) is StepRecord
+            with pytest.raises(AttributeError):
+                step.kind = "decode"
+            assert repr(step) == (
+                f"StepRecord(start_s={step.start_s!r}, end_s={step.end_s!r}, "
+                f"kind={step.kind!r}, batch={step.batch!r}, tokens={step.tokens!r}, "
+                f"generated={step.generated!r}, reserved_bytes={step.reserved_bytes!r})")
+            assert hash(step) == hash(tuple(step))
 
 
 @settings(max_examples=40, deadline=None)
