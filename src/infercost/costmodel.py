@@ -20,7 +20,8 @@ byte model: every operand read once, every result written once. Real kernels
 re-read tiles, so modeled MOPs are a lower bound on traffic and intensity an
 upper bound: tight where weight traffic dominates (decode: modeled QKV
 intensity 7.98 matches measurement), loose for prefill matmuls (modeled 1755
-vs ~642 measured).
+vs ~642 measured). Intensity is never stored: OpCost and ModelCost derive it
+from their integer counts when read.
 """
 
 from __future__ import annotations
@@ -79,23 +80,23 @@ def _intensity(flops: int, mops: int) -> float:
 
 @dataclass(frozen=True)
 class OpCost:
-    """FLOPs, modeled bytes moved, and their ratio for one operation.
+    """FLOPs and modeled bytes moved for one operation.
 
-    flops and mops are exact integers; arithmetic_intensity is the only
-    floating-point quantity (flops / mops, or 0 for pure data movement).
+    flops and mops are exact integers; arithmetic_intensity is derived from
+    them when read (flops / mops, or 0 for pure data movement).
     """
 
     kind: OpKind
     flops: int
     mops: int
-    arithmetic_intensity: float = None  # type: ignore[assignment]  # derived
 
     def __post_init__(self) -> None:
         if self.flops < 0 or self.mops < 0:
             raise ValueError("flops and mops must be non-negative")
-        if self.arithmetic_intensity is None:
-            object.__setattr__(self, "arithmetic_intensity",
-                               _intensity(self.flops, self.mops))
+
+    @property
+    def arithmetic_intensity(self) -> float:
+        return _intensity(self.flops, self.mops)
 
 
 # KV-cache layouts. They are defined here because decode_op_costs dispatches
@@ -202,11 +203,10 @@ def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
 
 @dataclass(frozen=True)
 class ModelCost:
-    """Whole-stack totals: num_layers times the per-layer costs."""
+    """Whole-stack totals: num_layers times the sums of one layer's costs."""
 
     total_flops: int
     total_mops: int
-    per_kind: dict[OpKind, OpCost]
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -223,16 +223,14 @@ class ModelCost:
 
 
 def aggregate(layer_costs: list[OpCost], cfg: ModelConfig) -> ModelCost:
-    """Scale one layer's per-op costs by the layer count."""
+    """Whole-stack totals of one layer's per-op costs; each op kind at most once."""
+    kinds = [cost.kind for cost in layer_costs]
+    if len(set(kinds)) < len(kinds):
+        duplicate = next(kind for kind in kinds if kinds.count(kind) > 1)
+        raise ValueError(f"duplicate op kind in layer costs: {duplicate}")
     l = cfg.num_layers
-    per_kind: dict[OpKind, OpCost] = {}
-    for cost in layer_costs:
-        if cost.kind in per_kind:
-            raise ValueError(f"duplicate op kind in layer costs: {cost.kind}")
-        per_kind[cost.kind] = OpCost(cost.kind, cost.flops * l, cost.mops * l)
-    total_flops = sum(c.flops for c in per_kind.values())
-    total_mops = sum(c.mops for c in per_kind.values())
-    return ModelCost(total_flops, total_mops, per_kind)
+    return ModelCost(l * sum(c.flops for c in layer_costs),
+                     l * sum(c.mops for c in layer_costs))
 
 
 def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,8 +68,8 @@ class TimingSample:
     def __post_init__(self) -> None:
         if self.b < 1 or self.s < 1:
             raise ValueError(f"b and s must be >= 1, got b={self.b}, s={self.s}")
-        if not self.measured_ms > 0:
-            raise ValueError(f"measured_ms must be > 0, got {self.measured_ms}")
+        if not (self.measured_ms > 0 and math.isfinite(self.measured_ms)):
+            raise ValueError(f"measured_ms must be finite and > 0, got {self.measured_ms}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,11 @@ class RegressionCoefficients:
             raise DimensionMismatchError(
                 f"{self.phase.value} coefficients need {expected} values, "
                 f"got {len(self.values)}")
+        for name, value in zip(coeff_names(self.phase), self.values):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{self.phase.value} coefficient {name} must be a "
+                                 f"finite number, got {value!r}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def named(self) -> dict[str, float]:
@@ -239,7 +246,7 @@ def coefficients_from_dict(data: dict) -> RegressionCoefficients:
     missing = [n for n in names if n not in data]
     if missing:
         raise ValueError(f"missing {phase.value} coefficients: {', '.join(missing)}")
-    return RegressionCoefficients(phase, tuple(float(data[n]) for n in names))
+    return RegressionCoefficients(phase, tuple(data[n] for n in names))
 
 
 def load_coefficients(path: str | Path) -> RegressionCoefficients:

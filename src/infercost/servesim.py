@@ -364,8 +364,7 @@ def _step_items(policy: SchedulingPolicy, running: list[_Seq], waiting: deque,
 
 
 def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
-        coeffs: CoefficientPair | tuple[RegressionCoefficients, RegressionCoefficients],
-        capacity: Optional[KvCapacity] = None) -> RunResult:
+        coeffs: CoefficientPair, capacity: Optional[KvCapacity] = None) -> RunResult:
     """Simulate a trace under a policy; deterministic for fixed inputs.
 
     Each pass of the loop pulls arrivals, admits queued requests in FIFO
@@ -375,12 +374,8 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
     completions.
     """
     if not isinstance(coeffs, CoefficientPair):
-        try:
-            prefill, decode = coeffs
-        except (TypeError, ValueError):
-            raise MissingCoefficientError(
-                "coeffs must be a CoefficientPair or a (prefill, decode) pair") from None
-        coeffs = CoefficientPair(prefill, decode)
+        raise MissingCoefficientError(
+            f"coeffs must be a CoefficientPair, got {type(coeffs).__name__}")
     if not isinstance(policy, (Static, Continuous, SplitFuse)):
         raise TypeError(f"unknown policy: {policy!r}")
     pads = isinstance(policy, Static)  # finished sequences stay until the batch drains

@@ -202,6 +202,19 @@ class TestFitPredict:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_fit_rejects_infinite_time(self, capsys, tmp_path):
+        timing = tmp_path / "t.csv"
+        timing.write_text("phase,b,s,time_ms\n" + "".join(
+            f"decode,{b},{s},{b + s}.5\n" for b in (1, 2, 4) for s in (16, 64))
+            + "decode,8,128,inf\n")
+        out_json = tmp_path / "c.json"
+        code, _, err = run_cli(capsys, "fit", "--model", "llama2-7b",
+                               "--phase", "decode", "--timing", str(timing),
+                               "--out", str(out_json))
+        assert code == 2
+        assert "line 8: measured_ms must be finite" in err
+        assert not out_json.exists()
+
     def test_predict_phase_mismatch(self, capsys, tmp_path, coeff_files):
         prefill_json, _ = coeff_files
         code, _, err = run_cli(capsys, "predict", "--model", "llama2-7b",
@@ -313,6 +326,22 @@ class TestSimulate:
         assert rows[1][0] == "static(batch_size=8)"
         assert int(rows[1][7]) == 16
         assert float(rows[1][2]) > 0
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "true", '"11.2"'])
+    def test_non_finite_coefficient_is_clean_error(self, capsys, tmp_path,
+                                                   coeff_files, value):
+        prefill_json, _ = coeff_files
+        decode_json = tmp_path / "bad_decode.json"
+        decode_json.write_text('{"phase": "decode", "phi": 2.23e-09, "psi": 1.75e-11, '
+                               '"omega": 1.63e-08, "nu": %s}' % value)
+        code, out, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                                 "--prefill-coeffs", prefill_json,
+                                 "--decode-coeffs", str(decode_json),
+                                 "--policy", "static", "--batch-size", "8",
+                                 "--scenario", "short-to-short", "--n", "16")
+        assert code == 2
+        assert out == ""
+        assert "decode coefficient nu must be a finite number" in err
 
     def test_sweep_is_reproducible_byte_for_byte(self, capsys, tmp_path, coeff_files):
         prefill_json, decode_json = coeff_files

@@ -1,5 +1,7 @@
 """Per-op FLOP/byte counts checked against brute-force enumeration oracles."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -21,6 +23,7 @@ from infercost import (
     kv_cache_bytes,
     prefill_op_costs,
 )
+from infercost.arch import MODEL_PRESETS
 from oracles import (
     brute_decode_bytes,
     brute_decode_flops,
@@ -124,9 +127,22 @@ def test_opcost_derives_intensity():
         OpCost(OpKind.QKV_PROJ, flops=-1, mops=4)
 
 
+def test_opcost_intensity_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        OpCost(OpKind.QKV_PROJ, 10, 4, 1e9)
+    with pytest.raises(AttributeError):
+        OpCost(OpKind.QKV_PROJ, 10, 4).arithmetic_intensity = 1e9
+
+
+def test_replaced_opcost_recomputes_intensity():
+    cost = dataclasses.replace(OpCost(OpKind.QKV_PROJ, 10, 4), flops=10**6)
+    assert cost.arithmetic_intensity == 250_000.0
+    assert dataclasses.replace(cost, mops=0).arithmetic_intensity == math.inf
+
+
 @pytest.mark.parametrize("flops,mops", [(10, 4), (0, 4), (0, 0), (5, 0)])
 def test_model_cost_intensity_follows_opcost_rule(flops, mops):
-    total = ModelCost(flops, mops, {})
+    total = ModelCost(flops, mops)
     assert total.arithmetic_intensity == OpCost(OpKind.QKV_PROJ, flops, mops).arithmetic_intensity
 
 
@@ -192,11 +208,12 @@ def test_aggregate_scales_by_layer_count():
     total = aggregate(ops, LLAMA7B)
     assert total.total_flops == 32 * sum(c.flops for c in ops)
     assert total.total_mops == 32 * sum(c.mops for c in ops)
-    assert total.per_kind[OpKind.QKV_PROJ].flops == 32 * ops[0].flops
     assert total.arithmetic_intensity == pytest.approx(
         total.total_flops / total.total_mops)
-    with pytest.raises(ValueError):
+    assert (total.flops, total.mops) == (total.total_flops, total.total_mops)
+    with pytest.raises(ValueError, match="QKV_PROJ"):
         aggregate(ops + [ops[0]], LLAMA7B)
+    assert aggregate([], LLAMA7B) == ModelCost(0, 0)
 
 
 def test_kv_cache_bytes_pinned_values():
@@ -211,3 +228,37 @@ def test_kv_cache_bytes_pinned_values():
 @settings(max_examples=40, deadline=None)
 def test_kv_cache_bytes_bilinear(b, s):
     assert kv_cache_bytes(LLAMA7B, b, s) == b * s * kv_cache_bytes(LLAMA7B, 1, 1)
+
+
+# --- golden digest -----------------------------------------------------------
+
+# sha256 over every (kind, flops, mops, repr(intensity)) row and every set of
+# aggregate totals on the grid below. A refactor of the cost model that changes
+# no number leaves it unchanged; update it only for a declared change of
+# specification.
+COST_MODEL_DIGEST = "617a64778417528d38957abc705fa5d36f9486cc1e4eafa010c16cd82f62b8f2"
+
+
+def _cost_model_rows():
+    layouts = {"paged": Paged(16), "vanilla": Vanilla(8192),
+               "token": TokenGranular()}
+    for cfg in (MODEL_PRESETS["llama2-7b"], MODEL_PRESETS["llama2-13b"], TINY):
+        for b in (1, 2, 7, 64):
+            for s in (1, 2, 31, 512, 4096):
+                phases = [("prefill", prefill_op_costs(cfg, b, s))]
+                phases += [(name, decode_op_costs(cfg, b, s, cache_layout=layout))
+                           for name, layout in layouts.items()]
+                for phase, ops in phases:
+                    for op in ops:
+                        yield (phase, b, s, op.kind.value, op.flops, op.mops,
+                               repr(op.arithmetic_intensity))
+                    total = aggregate(ops, cfg)
+                    yield (phase, b, s, "total", total.total_flops,
+                           total.total_mops, repr(total.arithmetic_intensity))
+
+
+def test_cost_model_golden_digest():
+    digest = hashlib.sha256()
+    for row in _cost_model_rows():
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == COST_MODEL_DIGEST

@@ -1,5 +1,7 @@
 """Feature construction, least-squares fitting, prediction, and persistence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,11 @@ class TestPredict:
     def test_wrong_length_coefficients(self):
         with pytest.raises(DimensionMismatchError, match="6 values"):
             RegressionCoefficients(Phase.PREFILL, (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "1.5", None])
+    def test_coefficients_must_be_finite_numbers(self, bad):
+        with pytest.raises(ValueError, match="decode coefficient omega"):
+            RegressionCoefficients(Phase.DECODE, (1.0, 2.0, bad, 4.0))
 
     def test_predict_at_equals_manual_dot(self):
         coeffs = RegressionCoefficients(Phase.PREFILL,
@@ -214,6 +221,11 @@ class TestFitErrors:
         with pytest.raises(ValueError, match="measured_ms"):
             TimingSample(Phase.DECODE, 1, 8, 0.0)
 
+    @pytest.mark.parametrize("ms", [math.inf, math.nan, -math.inf])
+    def test_sample_time_must_be_finite(self, ms):
+        with pytest.raises(ValueError, match="measured_ms must be finite"):
+            TimingSample(Phase.DECODE, 1, 8, ms)
+
 
 class TestReferenceMeasurementFits:
     """Fits against the bundled measurement CSVs (single-model designs)."""
@@ -270,6 +282,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 3"):
             load_timing_samples(path)
 
+    @pytest.mark.parametrize("time_ms", ["inf", "nan", "-inf", "Infinity"])
+    def test_timing_csv_rejects_non_finite_times(self, tmp_path, time_ms):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"phase,b,s,time_ms\nprefill,1,1,1.0\nprefill,2,1,{time_ms}\n")
+        with pytest.raises(ValueError, match="line 3: measured_ms must be finite"):
+            load_timing_samples(path)
+
     def test_timing_csv_full_float_precision(self, tmp_path):
         samples = [TimingSample(Phase.DECODE, 3, 7, 0.1 + 0.2)]
         path = tmp_path / "t.csv"
@@ -292,6 +311,20 @@ class TestPersistence:
     def test_coefficients_dict_missing_names(self):
         with pytest.raises(ValueError, match="missing decode coefficients: nu"):
             coefficients_from_dict({"phase": "decode", "phi": 1, "psi": 2, "omega": 3})
+
+    @pytest.mark.parametrize("bad", [True, False, "4.0", None, [4.0]])
+    def test_coefficients_dict_values_must_be_json_numbers(self, bad):
+        with pytest.raises(ValueError, match="decode coefficient nu"):
+            coefficients_from_dict(
+                {"phase": "decode", "phi": 1, "psi": 2.0, "omega": 3, "nu": bad})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_coefficients_json_rejects_non_finite_values(self, tmp_path, token):
+        path = tmp_path / "c.json"
+        path.write_text('{"phase": "decode", "phi": %s, "psi": 0, "omega": 0, "nu": 1}'
+                        % token)
+        with pytest.raises(ValueError, match="decode coefficient phi"):
+            load_coefficients(path)
 
     def test_coefficients_dict_missing_phase(self):
         with pytest.raises(ValueError, match="'phase'"):

@@ -105,12 +105,6 @@ class TestCoefficientPair:
         with pytest.raises(MissingCoefficientError, match="required"):
             CoefficientPair(None, PHI_DECODE)
 
-    def test_run_accepts_a_plain_tuple(self):
-        trace = [req(0, 4, 3)]
-        a = run(Continuous(max_seqs=2), trace, TINY, ORACLE)
-        b = run(Continuous(max_seqs=2), trace, TINY, (CONST_PREFILL, PHI_DECODE))
-        assert a == b
-
     def test_run_rejects_junk_coeffs(self):
         with pytest.raises(MissingCoefficientError, match="CoefficientPair"):
             run(Continuous(max_seqs=2), [req(0, 1, 1)], TINY, CONST_PREFILL)
