@@ -39,7 +39,7 @@ def print_phase(title, ops, cfg, hw):
               f"{classify(op, hw).value:>13} "
               f"{lower_bound_time(op, hw) * 1e3:>8.3f}")
     total = aggregate(ops, cfg)
-    print(f"{'total x' + str(cfg.l):<14} {total.total_flops / 1e9:>10.3f} "
+    print(f"{'total x' + str(cfg.num_layers):<14} {total.total_flops / 1e9:>10.3f} "
           f"{total.total_mops / 1e6:>10.2f} {total.arithmetic_intensity:>9.2f} "
           f"{classify(total, hw).value:>13} "
           f"{lower_bound_time(total, hw) * 1e3:>8.3f}")
@@ -56,8 +56,9 @@ def main():
     cfg = resolve_model(args.model)
     hw = resolve_hardware(args.hardware)
     ridge = ridge_point(hw)
-    print(f"model={args.model} (h={cfg.h}, h'={cfg.h_ffn}, {cfg.n} heads x "
-          f"{cfg.d}, {cfg.l} layers), hardware={hw.name}")
+    print(f"model={args.model} (h={cfg.hidden_size}, h'={cfg.intermediate_size}, "
+          f"{cfg.num_heads} heads x {cfg.head_dim}, {cfg.num_layers} layers), "
+          f"hardware={hw.name}")
     print(f"ridge point = {ridge:.1f} FLOP/B "
           f"(ops above it are compute-bound, below it bandwidth-bound)")
 

@@ -24,7 +24,6 @@ from .arch import (
     load_model_config,
     model_preset,
     resolve_model,
-    save_model_config,
     validate_config,
 )
 from .costmodel import (
@@ -45,7 +44,6 @@ from .costmodel import (
 )
 from .estimator import (
     FitResult,
-    RankDeficientDesignError,
     RegressionCoefficients,
     TimingSample,
     UnderdeterminedSystemError,
@@ -60,7 +58,6 @@ from .estimator import (
     predict_at,
     prefill_features,
     save_coefficients,
-    save_timing_samples,
 )
 from .hardware import (
     BoundKind,
@@ -74,7 +71,6 @@ from .hardware import (
     lower_bound_time,
     resolve_hardware,
     ridge_point,
-    save_hardware,
 )
 from .kvsim import (
     CacheStats,
@@ -115,7 +111,7 @@ __all__ = [
     # arch
     "ModelConfig", "Phase", "ConfigError",
     "DimensionMismatchError", "NonPositiveFieldError", "validate_config",
-    "model_preset", "resolve_model", "load_model_config", "save_model_config",
+    "model_preset", "resolve_model", "load_model_config",
     # costmodel
     "OpKind", "OpCost", "ModelCost", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
     "LINEAR_PROJECTIONS", "CacheLayout", "Vanilla", "Paged", "TokenGranular",
@@ -123,13 +119,12 @@ __all__ = [
     # hardware
     "HardwareSpec", "BoundKind", "HardwareError", "DegenerateCostError",
     "ridge_point", "classify", "attainable_flops", "lower_bound_time",
-    "hardware_preset", "resolve_hardware", "load_hardware", "save_hardware",
+    "hardware_preset", "resolve_hardware", "load_hardware",
     # estimator
     "TimingSample", "RegressionCoefficients", "FitResult", "fit", "fit_design",
     "predict", "predict_at", "prefill_features", "decode_features",
     "features_for", "coeff_names", "UnderdeterminedSystemError",
-    "RankDeficientDesignError", "load_timing_samples", "save_timing_samples",
-    "load_coefficients", "save_coefficients",
+    "load_timing_samples", "load_coefficients", "save_coefficients",
     # kvsim
     "CacheStats", "ReservedOverflowError", "allocated_tokens",
     "cache_step_bytes", "footprint", "max_concurrency",

@@ -1,14 +1,16 @@
 """Model architecture description shared by all modules.
 
-Symbols used throughout the package: h = hidden size, h' = intermediate (FFN)
-size, n = number of attention heads, d = head dimension, l = decoder layers,
-b = batch size, s = sequence length (prefill) or cached past tokens (decode).
+Formula notation used in docstrings throughout the package: h = hidden size,
+h' = intermediate (FFN) size, n = number of attention heads, d = head
+dimension, l = decoder layers, b = batch size, s = sequence length (prefill)
+or cached past tokens (decode). In code the dimensions are ModelConfig's
+field names.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -48,27 +50,6 @@ class ModelConfig:
     def __post_init__(self) -> None:
         _check_config(self)
 
-    # Short aliases matching the formula notation.
-    @property
-    def h(self) -> int:
-        return self.hidden_size
-
-    @property
-    def h_ffn(self) -> int:
-        return self.intermediate_size
-
-    @property
-    def n(self) -> int:
-        return self.num_heads
-
-    @property
-    def d(self) -> int:
-        return self.head_dim
-
-    @property
-    def l(self) -> int:
-        return self.num_layers
-
 
 def _check_config(cfg: ModelConfig) -> None:
     for name in ("hidden_size", "intermediate_size", "num_heads", "head_dim",
@@ -82,6 +63,16 @@ def _check_config(cfg: ModelConfig) -> None:
         raise DimensionMismatchError(
             f"hidden_size ({cfg.hidden_size}) != num_heads * head_dim "
             f"({cfg.num_heads} * {cfg.head_dim} = {cfg.num_heads * cfg.head_dim})")
+
+
+def _require_positive(what: str, *values) -> None:
+    """Raise ValueError unless every value is an integer >= 1; a bool is not
+    a count. `what` names the values in the message."""
+    for value in values:
+        if type(value) is not int:  # bool is an int subclass
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{what} must be >= 1, got {value}")
 
 
 def validate_config(cfg: ModelConfig) -> ModelConfig:
@@ -133,12 +124,6 @@ def load_model_config(path: str | Path) -> ModelConfig:
         return model_config_from_dict(json.load(fh))
 
 
-def save_model_config(cfg: ModelConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(cfg), fh, indent=2)
-        fh.write("\n")
-
-
 def resolve_model(name_or_path: str | Path) -> ModelConfig:
     """Accept a preset name or a JSON file path (the CLI's --model semantics)."""
     name = str(name_or_path)
@@ -154,5 +139,5 @@ __all__ = [
     "ConfigError", "DimensionMismatchError", "NonPositiveFieldError",
     "Phase", "ModelConfig", "MODEL_PRESETS",
     "model_preset", "model_config_from_dict", "load_model_config",
-    "save_model_config", "resolve_model", "validate_config",
+    "resolve_model", "validate_config",
 ]

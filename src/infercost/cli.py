@@ -195,7 +195,7 @@ def cmd_analyze(args) -> int:
         ))
     total = aggregate(ops, cfg)
     rows.append((
-        f"Total x{cfg.l} layers",
+        f"Total x{cfg.num_layers} layers",
         _f2(total.total_flops / 1e9),
         _f2(total.total_mops / 1e6),
         _f2(total.arithmetic_intensity),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .arch import ModelConfig
+from .arch import ModelConfig, _require_positive
 
 
 class OpKind(Enum):
@@ -108,8 +108,7 @@ class Vanilla:
     reserved_len: int
 
     def __post_init__(self) -> None:
-        if self.reserved_len < 1:
-            raise ValueError(f"reserved_len must be >= 1, got {self.reserved_len}")
+        _require_positive("reserved_len", self.reserved_len)
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,7 @@ class Paged:
     block_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        _require_positive("block_size", self.block_size)
 
 
 @dataclass(frozen=True)
@@ -128,14 +126,6 @@ class TokenGranular:
 
 
 CacheLayout = Union[Vanilla, Paged, TokenGranular]
-
-
-def _require_positive(**values: int) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _token_ops(cfg: ModelConfig, t: int) -> dict[OpKind, OpCost]:
@@ -165,7 +155,7 @@ def _attention(cfg: ModelConfig, b: int, q: int, k: int) -> OpCost:
 
 def prefill_op_costs(cfg: ModelConfig, b: int, s: int) -> list[OpCost]:
     """Per-operation costs of one decoder layer processing a b x s prompt."""
-    _require_positive(b=b, s=s)
+    _require_positive("b and s", b, s)
     ops = _token_ops(cfg, b * s)
     ops[OpKind.ATTENTION] = _attention(cfg, b, s, s)
     return [ops[kind] for kind in PREFILL_OP_ORDER]
@@ -193,7 +183,7 @@ def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
                     cache_layout: CacheLayout = Paged()) -> list[OpCost]:
     """Per-operation costs of one decoder layer generating one token per
     sequence with s_past cached tokens each."""
-    _require_positive(b=b, s_past=s_past)
+    _require_positive("b and s_past", b, s_past)
     cache_mops = cache_update_mops(cache_layout, cfg, b, s_past)
     ops = _token_ops(cfg, b)
     ops[OpKind.CACHE_UPDATE] = OpCost(OpKind.CACHE_UPDATE, 0, cache_mops)

@@ -21,11 +21,10 @@ dip below zero — consumers that need a duration clamp at zero.
 
 Samples taken at a single model config span at most three independent feature
 directions (for fixed h, h', n, l several columns are proportional), so such
-designs are rank-deficient by construction. fit() therefore defaults to the
-minimum-norm least-squares solution and reports a condition warning;
-strict_rank=True turns the warning into an error. Coefficients are only
-individually identifiable from designs that vary the model dimensions — see
-fit_design.
+designs are rank-deficient by construction. fit() therefore returns the
+minimum-norm least-squares solution and reports a condition warning.
+Coefficients are only individually identifiable from designs that vary the
+model dimensions — see fit_design.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import DimensionMismatchError, ModelConfig, Phase
+from .arch import DimensionMismatchError, ModelConfig, Phase, _require_positive
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 _INT64_MAX = np.iinfo(np.int64).max
@@ -52,10 +51,6 @@ class UnderdeterminedSystemError(ValueError):
     """Fewer samples than coefficients."""
 
 
-class RankDeficientDesignError(ValueError):
-    """The design matrix has numerically deficient rank (strict mode only)."""
-
-
 @dataclass(frozen=True)
 class TimingSample:
     """One measured configuration: total decoder-stack step time in ms."""
@@ -66,8 +61,7 @@ class TimingSample:
     measured_ms: float
 
     def __post_init__(self) -> None:
-        if self.b < 1 or self.s < 1:
-            raise ValueError(f"b and s must be >= 1, got b={self.b}, s={self.s}")
+        _require_positive("b and s", self.b, self.s)
         if not (self.measured_ms > 0 and math.isfinite(self.measured_ms)):
             raise ValueError(f"measured_ms must be finite and > 0, got {self.measured_ms}")
 
@@ -159,7 +153,7 @@ class FitResult:
     rank: int
 
 
-def fit_design(X, y, *, strict_rank: bool = False) -> tuple[np.ndarray, int, bool]:
+def fit_design(X, y) -> tuple[np.ndarray, int, bool]:
     """Minimum-norm OLS on an explicit design matrix.
 
     Columns are equilibrated to unit max-magnitude before the SVD so the rank
@@ -179,16 +173,10 @@ def fit_design(X, y, *, strict_rank: bool = False) -> tuple[np.ndarray, int, boo
     scale = np.max(np.abs(X), axis=0)
     scale[scale == 0.0] = 1.0
     solution, _, rank, _ = np.linalg.lstsq(X / scale, y, rcond=RANK_RTOL)
-    deficient = rank < n_coeffs
-    if deficient and strict_rank:
-        raise RankDeficientDesignError(
-            f"design matrix rank {rank} < {n_coeffs} "
-            f"(singular-value ratio below {RANK_RTOL:g})")
-    return solution / scale, int(rank), bool(deficient)
+    return solution / scale, int(rank), bool(rank < n_coeffs)
 
 
-def fit(samples: list[TimingSample], cfg: ModelConfig, phase: Phase,
-        *, strict_rank: bool = False) -> FitResult:
+def fit(samples: list[TimingSample], cfg: ModelConfig, phase: Phase) -> FitResult:
     """Ordinary least squares over timing samples for one phase."""
     if not samples:
         raise UnderdeterminedSystemError("no samples")
@@ -198,7 +186,7 @@ def fit(samples: list[TimingSample], cfg: ModelConfig, phase: Phase,
 
     X = np.array([features_for(cfg, s.b, s.s, phase) for s in samples], dtype=float)
     y = np.array([s.measured_ms for s in samples], dtype=float)
-    solution, rank, warned = fit_design(X, y, strict_rank=strict_rank)
+    solution, rank, warned = fit_design(X, y)
 
     residual_rel = (X @ solution - y) / y
     rms = float(np.sqrt(np.mean(residual_rel ** 2)))
@@ -208,30 +196,41 @@ def fit(samples: list[TimingSample], cfg: ModelConfig, phase: Phase,
 
 # --- file formats -----------------------------------------------------------
 
+def _csv_count(name: str, text: str) -> int:
+    # int() also takes "1_6", " 64 " and non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _csv_ms(text: str) -> float:
+    # float() also takes "1_0.5" and " 10.5 "; inf and nan fail in TimingSample.
+    if "_" in text or text != text.strip():
+        raise ValueError(f"time_ms must be a plain number, got {text!r}")
+    return float(text)
+
+
 def load_timing_samples(path: str | Path) -> list[TimingSample]:
-    """Read the `phase,b,s,time_ms` CSV."""
+    """Read the `phase,b,s,time_ms` CSV; errors name `path: line N`."""
+    expected = ["phase", "b", "s", "time_ms"]
     samples: list[TimingSample] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["phase", "b", "s", "time_ms"]
-        if reader.fieldnames != expected:
-            raise ValueError(f"{path}: header must be {','.join(expected)}, "
-                             f"got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise ValueError(f"{path}: header must be {','.join(expected)}, got {header}")
+        for row in reader:
+            if not row:
+                continue
             try:
-                samples.append(TimingSample(Phase(row["phase"]), int(row["b"]),
-                                            int(row["s"]), float(row["time_ms"])))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                if len(row) != len(expected):
+                    raise ValueError(f"expected {len(expected)} fields, got {len(row)}")
+                phase, b, s, time_ms = row
+                samples.append(TimingSample(Phase(phase), _csv_count("b", b),
+                                            _csv_count("s", s), _csv_ms(time_ms)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     return samples
-
-
-def save_timing_samples(samples: list[TimingSample], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "b", "s", "time_ms"])
-        for s in samples:
-            writer.writerow([s.phase.value, s.b, s.s, repr(s.measured_ms)])
 
 
 def coefficients_to_dict(coeffs: RegressionCoefficients) -> dict:
@@ -262,11 +261,11 @@ def save_coefficients(coeffs: RegressionCoefficients, path: str | Path) -> None:
 
 __all__ = [
     "TimingSample", "RegressionCoefficients", "FitResult",
-    "UnderdeterminedSystemError", "RankDeficientDesignError",
+    "UnderdeterminedSystemError",
     "PREFILL_COEFF_NAMES", "DECODE_COEFF_NAMES", "coeff_names",
     "prefill_features", "decode_features", "features_for",
     "predict", "predict_at", "fit", "fit_design",
-    "load_timing_samples", "save_timing_samples",
+    "load_timing_samples",
     "coefficients_to_dict", "coefficients_from_dict",
     "load_coefficients", "save_coefficients",
 ]

@@ -135,32 +135,6 @@ def load_hardware(path: str | Path) -> HardwareSpec:
         return hardware_from_dict(json.load(fh, parse_float=Decimal))
 
 
-def _decimal_json_value(units: int, scale: int):
-    """Base units -> GB/TFLOPs as an int when whole, else an exact float literal."""
-    value = Decimal(units) / scale
-    if value == value.to_integral_value():
-        return int(value)
-    as_float = float(value)
-    if Decimal(str(as_float)) != value:
-        raise HardwareError(f"{units} base units are not exactly representable in the JSON schema")
-    return as_float
-
-
-def hardware_to_dict(hw: HardwareSpec) -> dict:
-    return {
-        "name": hw.name,
-        "memory_gb": _decimal_json_value(hw.memory_bytes, _GB),
-        "bandwidth_gb_per_s": _decimal_json_value(hw.bandwidth_bytes_per_s, _GB),
-        "bf16_tflops": _decimal_json_value(hw.peak_flops_per_s, _TFLOPS),
-    }
-
-
-def save_hardware(hw: HardwareSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hardware_to_dict(hw), fh, indent=2)
-        fh.write("\n")
-
-
 def resolve_hardware(name_or_path: str | Path) -> HardwareSpec:
     """Accept a preset name or a JSON file path (the CLI's --hardware semantics)."""
     name = str(name_or_path)
@@ -176,5 +150,5 @@ __all__ = [
     "BoundKind", "HardwareSpec", "HardwareError", "DegenerateCostError",
     "HARDWARE_PRESETS", "hardware_preset", "ridge_point", "classify",
     "attainable_flops", "lower_bound_time", "hardware_from_dict",
-    "hardware_to_dict", "load_hardware", "save_hardware", "resolve_hardware",
+    "load_hardware", "resolve_hardware",
 ]

@@ -29,17 +29,13 @@ class CacheStats:
     allocated_bytes: int
     live_bytes: int
     wasted_bytes: int
-    peak_allocated_bytes: int
 
     def __post_init__(self) -> None:
-        for name in ("allocated_bytes", "live_bytes", "wasted_bytes",
-                     "peak_allocated_bytes"):
+        for name in ("allocated_bytes", "live_bytes", "wasted_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.allocated_bytes != self.live_bytes + self.wasted_bytes:
             raise ValueError("allocated_bytes must equal live_bytes + wasted_bytes")
-        if self.peak_allocated_bytes < self.allocated_bytes:
-            raise ValueError("peak_allocated_bytes must be >= allocated_bytes")
 
 
 def allocated_tokens(layout: CacheLayout, length: int) -> int:
@@ -77,7 +73,7 @@ def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> Cac
     live = per_token * sum(seq_lens)
     allocated = per_token * sum(allocated_tokens(layout, length) for length in seq_lens)
     return CacheStats(allocated_bytes=allocated, live_bytes=live,
-                      wasted_bytes=allocated - live, peak_allocated_bytes=allocated)
+                      wasted_bytes=allocated - live)
 
 
 def _free_kv_bytes(hw: HardwareSpec, model_weight_bytes: int) -> int:

@@ -70,7 +70,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .arch import ModelConfig, Phase
+from .arch import ModelConfig, Phase, _require_positive
 from .costmodel import kv_cache_bytes
 from .estimator import RegressionCoefficients, predict_at
 from .hardware import HardwareSpec
@@ -93,8 +93,8 @@ class Request:
     arrival_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.input_len < 1 or self.output_len < 1:
-            raise ValueError(f"request {self.id}: input_len and output_len must be >= 1")
+        _require_positive(f"request {self.id}: input_len and output_len",
+                          self.input_len, self.output_len)
         if not (math.isfinite(self.arrival_time_s) and self.arrival_time_s >= 0):
             raise ValueError(f"request {self.id}: arrival_time_s must be finite and >= 0, "
                              f"got {self.arrival_time_s!r}")
@@ -105,8 +105,7 @@ class Static:
     batch_size: int
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _require_positive("batch_size", self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ class Continuous:
     def __post_init__(self) -> None:
         if self.max_seqs is None:
             raise ValueError("Continuous needs max_seqs")
-        if self.max_seqs < 1:
-            raise ValueError(f"max_seqs must be >= 1, got {self.max_seqs}")
+        _require_positive("max_seqs", self.max_seqs)
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,7 @@ class SplitFuse:
     token_budget: int
 
     def __post_init__(self) -> None:
-        if self.token_budget < 1:
-            raise ValueError("token_budget must be >= 1")
+        _require_positive("token_budget", self.token_budget)
 
 
 SchedulingPolicy = Union[Static, Continuous, SplitFuse]
@@ -468,16 +465,10 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
 _WARMUP_TRIM = 100  # completions trim_warmup drops at each end by default
 
 
-def trim_warmup(records, n: int = _WARMUP_TRIM) -> tuple[list[RequestRecord], bool]:
-    """Drop the first and last n completions; (records, warning) tuple.
-
-    The warning flag is set when 2n or fewer records exist, in which case the
-    trimmed list is empty.
-    """
+def trim_warmup(records, n: int = _WARMUP_TRIM) -> list[RequestRecord]:
+    """Drop the first and last n completions; empty when 2n or fewer exist."""
     ordered = sorted(records, key=lambda r: (r.completion_s, r.id))
-    if len(ordered) <= 2 * n:
-        return [], True
-    return ordered[n:len(ordered) - n], False
+    return ordered[n:len(ordered) - n]
 
 
 def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
@@ -510,8 +501,7 @@ def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
         trace = [replace(req, arrival_time_s=float(offset / rate))
                  for req, offset in zip(base_trace, unit_offsets)]
         result = run(policy, trace, cfg, coeffs, capacity=capacity)
-        trimmed, _ = trim_warmup(result.records)
-        out[rate] = compute_metrics(trimmed)
+        out[rate] = compute_metrics(trim_warmup(result.records))
     return out
 
 

@@ -21,7 +21,6 @@ import enum
 import json
 import math
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 

@@ -1,5 +1,6 @@
-"""Model-config validation, presets, JSON round-trips, and workload points."""
+"""Model-config validation, presets, JSON loading, and workload points."""
 
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,6 @@ from infercost.arch import (
     model_config_from_dict,
     model_preset,
     resolve_model,
-    save_model_config,
     validate_config,
 )
 
@@ -27,11 +27,16 @@ def make(h=4096, h_ffn=11008, n=32, d=128, l=32, w=2):
                        head_dim=d, num_layers=l, bytes_per_scalar=w)
 
 
-class TestModelConfig:
-    def test_aliases_match_long_names(self):
-        cfg = make()
-        assert (cfg.h, cfg.h_ffn, cfg.n, cfg.d, cfg.l) == (4096, 11008, 32, 128, 32)
+def dims(cfg):
+    return (cfg.hidden_size, cfg.intermediate_size, cfg.num_heads, cfg.head_dim,
+            cfg.num_layers)
 
+
+def write_json(path, cfg):
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+
+
+class TestModelConfig:
     def test_hidden_size_must_factor_into_heads(self):
         with pytest.raises(DimensionMismatchError):
             make(h=4096, n=32, d=127)
@@ -72,12 +77,12 @@ class TestModelConfig:
 class TestPresets:
     def test_llama2_7b_dimensions(self):
         cfg = model_preset("llama2-7b")
-        assert (cfg.h, cfg.h_ffn, cfg.n, cfg.d, cfg.l) == (4096, 11008, 32, 128, 32)
+        assert dims(cfg) == (4096, 11008, 32, 128, 32)
         assert cfg.bytes_per_scalar == 2
 
     def test_llama2_13b_dimensions(self):
         cfg = model_preset("llama2-13b")
-        assert (cfg.h, cfg.h_ffn, cfg.n, cfg.d, cfg.l) == (5120, 13824, 40, 128, 40)
+        assert dims(cfg) == (5120, 13824, 40, 128, 40)
 
     def test_all_presets_validate(self):
         for cfg in MODEL_PRESETS.values():
@@ -92,7 +97,7 @@ class TestJsonRoundTrip:
     def test_round_trip_preserves_equality(self, tmp_path):
         cfg = make(h=512, h_ffn=1536, n=4, d=128, l=6, w=4)
         path = tmp_path / "model.json"
-        save_model_config(cfg, path)
+        write_json(path, cfg)
         assert load_model_config(path) == cfg
 
     def test_unknown_keys_rejected(self):
@@ -117,12 +122,6 @@ class TestJsonRoundTrip:
         })
         assert cfg.bytes_per_scalar == 2
 
-    def test_saved_file_is_plain_json(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_model_config(make(), path)
-        data = json.loads(path.read_text())
-        assert data["hidden_size"] == 4096
-
 
 class TestResolveModel:
     def test_preset_name(self):
@@ -131,7 +130,7 @@ class TestResolveModel:
     def test_json_path(self, tmp_path):
         cfg = make(h=256, h_ffn=512, n=2, d=128, l=2)
         path = tmp_path / "tiny.json"
-        save_model_config(cfg, path)
+        write_json(path, cfg)
         assert resolve_model(path) == cfg
 
     def test_neither_preset_nor_file(self):
@@ -149,4 +148,4 @@ def test_phase_values():
 def test_any_consistent_dimensions_validate(n, d, h_ffn, l):
     cfg = ModelConfig(hidden_size=n * d, intermediate_size=h_ffn,
                       num_heads=n, head_dim=d, num_layers=l)
-    assert cfg.h == n * d
+    assert cfg.hidden_size == n * d

@@ -1,6 +1,7 @@
 """Feature construction, least-squares fitting, prediction, and persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from infercost.estimator import (
     DECODE_COEFF_NAMES,
     PREFILL_COEFF_NAMES,
     FitResult,
-    RankDeficientDesignError,
     RegressionCoefficients,
     TimingSample,
     UnderdeterminedSystemError,
@@ -29,7 +29,6 @@ from infercost.estimator import (
     predict_at,
     prefill_features,
     save_coefficients,
-    save_timing_samples,
 )
 
 LLAMA7B = ModelConfig(4096, 11008, 32, 128, 32)
@@ -175,12 +174,6 @@ class TestFitRecovery:
         assert result.rank == 3
         assert result.condition_warning is True
 
-    def test_strict_rank_raises_on_deficiency(self):
-        samples = [TimingSample(Phase.DECODE, b, s, 1.0 + b * s)
-                   for b in (1, 2, 4) for s in (32, 128)]
-        with pytest.raises(RankDeficientDesignError, match="rank 3 < 4"):
-            fit(samples, LLAMA7B, Phase.DECODE, strict_rank=True)
-
     def test_deficient_fit_still_predicts_training_points(self):
         # Minimum-norm solution reproduces the data it saw even when the
         # individual coefficients are not identified.
@@ -267,7 +260,7 @@ class TestPersistence:
         samples = [TimingSample(Phase.PREFILL, 8, 512, 526.19),
                    TimingSample(Phase.DECODE, 8, 512, 30.55)]
         path = tmp_path / "t.csv"
-        save_timing_samples(samples, path)
+        path.write_text("phase,b,s,time_ms\nprefill,8,512,526.19\ndecode,8,512,30.55\n")
         assert load_timing_samples(path) == samples
 
     def test_timing_csv_header_checked(self, tmp_path):
@@ -289,10 +282,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 3: measured_ms must be finite"):
             load_timing_samples(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("decode,1_6, 64 ,1_0.5", "b must be a decimal integer, got '1_6'"),
+        ("decode,16, 64,10.5", "s must be a decimal integer, got ' 64'"),
+        ("decode,+16,64,10.5", "b must be a decimal integer"),
+        ("decode,16,64,1_0.5", "time_ms must be a plain number, got '1_0.5'"),
+        ("decode,16,64,10.5 ", "time_ms must be a plain number"),
+        ("decode,16,64", "expected 4 fields, got 3"),
+        ("decode,16,64,10.5,1", "expected 4 fields, got 5"),
+    ])
+    def test_timing_csv_parses_strictly(self, tmp_path, row, message):
+        # int() and float() accept digit-group underscores and surrounding
+        # spaces; a short row used to escape as a TypeError with no line.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"phase,b,s,time_ms\nprefill,1,1,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv: line 3: {re.escape(message)}"):
+            load_timing_samples(path)
+
     def test_timing_csv_full_float_precision(self, tmp_path):
-        samples = [TimingSample(Phase.DECODE, 3, 7, 0.1 + 0.2)]
         path = tmp_path / "t.csv"
-        save_timing_samples(samples, path)
+        path.write_text(f"phase,b,s,time_ms\ndecode,3,7,{0.1 + 0.2!r}\n")
         assert load_timing_samples(path)[0].measured_ms == 0.1 + 0.2
 
     def test_coefficients_json_round_trip(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Roofline math, bound classification, presets, and hardware JSON round-trips."""
+"""Roofline math, bound classification, presets, and hardware JSON loading."""
 
 import json
 
@@ -17,12 +17,10 @@ from infercost.hardware import (
     classify,
     hardware_from_dict,
     hardware_preset,
-    hardware_to_dict,
     load_hardware,
     lower_bound_time,
     resolve_hardware,
     ridge_point,
-    save_hardware,
 )
 
 A800 = HARDWARE_PRESETS["a800"]
@@ -143,13 +141,6 @@ class TestPresets:
 
 
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("hw", list(HARDWARE_PRESETS.values()),
-                             ids=list(HARDWARE_PRESETS))
-    def test_presets_round_trip_exactly(self, hw, tmp_path):
-        path = tmp_path / "hw.json"
-        save_hardware(hw, path)
-        assert load_hardware(path) == hw
-
     def test_fractional_tflops_survive_round_trip(self, tmp_path):
         # 165.2 TFLOPs is not a float-exact multiple of 1e12; the Decimal
         # parse must still land on the exact integer.
@@ -159,11 +150,6 @@ class TestJsonRoundTrip:
             "bf16_tflops": 165.2,
         }))
         assert load_hardware(path).peak_flops_per_s == 165_200_000_000_000
-
-    def test_to_dict_emits_compact_units(self):
-        data = hardware_to_dict(RTX4090)
-        assert data == {"name": "RTX-4090", "memory_gb": 24,
-                        "bandwidth_gb_per_s": 1008, "bf16_tflops": 165.2}
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(HardwareError, match="unknown hardware keys: tdp_watts"):
@@ -193,7 +179,8 @@ class TestResolveHardware:
 
     def test_json_path(self, tmp_path):
         path = tmp_path / "hw.json"
-        save_hardware(RTX3090, path)
+        path.write_text(json.dumps({"name": "RTX-3090", "memory_gb": 24,
+                                    "bandwidth_gb_per_s": 936, "bf16_tflops": 71}))
         assert resolve_hardware(path) == RTX3090
 
     def test_neither(self):

@@ -146,15 +146,10 @@ class TestFootprint:
             return
         assert stats.allocated_bytes == stats.live_bytes + stats.wasted_bytes
         assert stats.wasted_bytes >= 0
-        assert stats.peak_allocated_bytes >= stats.allocated_bytes
 
     def test_cache_stats_identity_enforced(self):
         with pytest.raises(ValueError, match="live_bytes \\+ wasted_bytes"):
-            CacheStats(allocated_bytes=10, live_bytes=5, wasted_bytes=4,
-                       peak_allocated_bytes=10)
-        with pytest.raises(ValueError, match="peak"):
-            CacheStats(allocated_bytes=10, live_bytes=5, wasted_bytes=5,
-                       peak_allocated_bytes=9)
+            CacheStats(allocated_bytes=10, live_bytes=5, wasted_bytes=4)
 
 
 class TestMaxConcurrency:

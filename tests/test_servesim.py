@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from infercost import servesim
 from infercost.arch import ModelConfig, Phase
-from infercost.estimator import RegressionCoefficients
+from infercost.estimator import RegressionCoefficients, TimingSample
 from infercost.hardware import HARDWARE_PRESETS
 from infercost.kvsim import Paged, TokenGranular, Vanilla, allocated_tokens
 from infercost.servesim import (
@@ -94,6 +94,31 @@ class TestPolicyValidation:
             describe_policy("fifo")
         with pytest.raises(TypeError, match="unknown policy"):
             run("fifo", [req(0, 1, 1)], TINY, ORACLE)
+
+
+# Every count a constructor takes follows one rule: an int >= 1, not a bool.
+COUNT_CONSTRUCTORS = {
+    "Request.input_len": lambda v: Request(0, v, 3),
+    "Request.output_len": lambda v: Request(0, 3, v),
+    "Static": Static,
+    "Continuous": Continuous,
+    "SplitFuse": SplitFuse,
+    "Vanilla": Vanilla,
+    "Paged": Paged,
+    "TimingSample.b": lambda v: TimingSample(Phase.DECODE, v, 2, 3.0),
+    "TimingSample.s": lambda v: TimingSample(Phase.DECODE, 2, v, 3.0),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer, got 2.5"),
+    (True, "must be an integer, got True"),
+    (0, "must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("name", list(COUNT_CONSTRUCTORS))
+def test_counts_are_integers_of_at_least_one(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        COUNT_CONSTRUCTORS[name](value)
 
 
 class TestCoefficientPair:
@@ -352,26 +377,22 @@ class TestNegativeClamp:
 class TestTrimWarmup:
     def test_drops_both_tails(self):
         records = [RequestRecord(i, 0.0, 0.0, float(i), 1, 1) for i in range(10)]
-        trimmed, warned = trim_warmup(records, n=3)
-        assert not warned
-        assert [r.id for r in trimmed] == [3, 4, 5, 6]
+        assert [r.id for r in trim_warmup(records, n=3)] == [3, 4, 5, 6]
 
     def test_sorts_by_completion_before_trimming(self):
         records = [RequestRecord(i, 0.0, 0.0, float(10 - i), 1, 1) for i in range(10)]
-        trimmed, _ = trim_warmup(records, n=4)
         # completions run 10..1 for ids 0..9; the two in the middle remain
-        assert [r.id for r in trimmed] == [5, 4]
+        assert [r.id for r in trim_warmup(records, n=4)] == [5, 4]
 
-    def test_too_few_records_warns_and_empties(self):
+    def test_too_few_records_empties(self):
         records = [RequestRecord(i, 0.0, 0.0, float(i), 1, 1) for i in range(4)]
-        assert trim_warmup(records, n=2) == ([], True)
-        assert trim_warmup([], n=0) == ([], True)
+        assert trim_warmup(records, n=2) == []
+        assert trim_warmup(records[:3], n=2) == []
+        assert trim_warmup([], n=0) == []
 
     def test_default_n_is_100(self):
         records = [RequestRecord(i, 0.0, 0.0, float(i), 1, 1) for i in range(201)]
-        trimmed, warned = trim_warmup(records)
-        assert not warned
-        assert [r.id for r in trimmed] == [100]
+        assert [r.id for r in trim_warmup(records)] == [100]
 
 
 class TestSweepRates:
@@ -405,8 +426,7 @@ class TestSweepRates:
                             arrival_process="uniform")
         manual_trace = [req(i, 2, 2, at=(i + 1) / rate) for i in range(210)]
         manual = run(Continuous(max_seqs=4), manual_trace, TINY, ORACLE)
-        trimmed, _ = trim_warmup(manual.records)
-        assert swept[rate] == compute_metrics(trimmed)
+        assert swept[rate] == compute_metrics(trim_warmup(manual.records))
 
     def test_same_seed_is_reproducible(self):
         base = [req(i, 2, 2) for i in range(210)]
