@@ -94,6 +94,7 @@ from .servesim import (
     SplitFuse,
     Static,
     StepRecord,
+    StepTable,
     compute_metrics,
     describe_policy,
     metrics_csv_text,
@@ -130,7 +131,7 @@ __all__ = [
     "cache_step_bytes", "footprint", "max_concurrency",
     # servesim
     "Request", "Static", "Continuous", "SplitFuse", "SchedulingPolicy",
-    "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord",
+    "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
     "ServingMetrics", "RunResult", "CapacityError", "MissingCoefficientError",
     "run", "trim_warmup", "sweep_rates", "compute_metrics",
     "describe_policy", "metrics_csv_text", "write_metrics_csv",

@@ -75,6 +75,15 @@ def _require_positive(what: str, *values) -> None:
             raise ValueError(f"{what} must be >= 1, got {value}")
 
 
+def _require_nonnegative(what: str, *values) -> None:
+    """As _require_positive, for lengths, which may be 0."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{what} must be >= 0, got {value}")
+
+
 def validate_config(cfg: ModelConfig) -> ModelConfig:
     """Return cfg unchanged iff all invariants hold; raise ConfigError otherwise.
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .arch import ModelConfig, _require_positive
+from .arch import ModelConfig, _require_nonnegative, _require_positive
 
 
 class OpKind(Enum):
@@ -227,6 +227,7 @@ def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
     """Bytes held by the K and V caches for b sequences of s tokens, all layers."""
     if b < 0 or s < 0:
         raise ValueError("b and s must be non-negative")
+    _require_nonnegative("b and s", b, s)  # rejects floats and bools
     return 2 * cfg.num_layers * cfg.hidden_size * cfg.bytes_per_scalar * b * s
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .arch import ModelConfig
+from .arch import ModelConfig, _require_nonnegative, _require_positive
 from .costmodel import (CacheLayout, Paged, TokenGranular, Vanilla, cache_update_mops,
                         kv_cache_bytes)
 from .hardware import HardwareSpec
@@ -40,8 +41,12 @@ class CacheStats:
 
 def allocated_tokens(layout: CacheLayout, length: int) -> int:
     """Tokens' worth of cache a sequence of `length` tokens occupies."""
-    if length < 0:
-        raise ValueError(f"sequence length must be >= 0, got {length}")
+    _require_nonnegative("sequence length", length)
+    return _allocated_tokens(layout, length)
+
+
+def _allocated_tokens(layout: CacheLayout, length: int) -> int:
+    """allocated_tokens for a length already checked to be an int >= 0."""
     if isinstance(layout, Vanilla):
         if length > layout.reserved_len:
             raise ReservedOverflowError(
@@ -60,6 +65,7 @@ def cache_step_bytes(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int)
     """
     if b < 1 or s_past < 0:
         raise ValueError(f"need b >= 1 and s_past >= 0, got b={b}, s_past={s_past}")
+    _require_nonnegative("b and s_past", b, s_past)  # rejects floats and bools
     return cfg.num_layers * cache_update_mops(layout, cfg, b, s_past)
 
 
@@ -67,11 +73,14 @@ def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> Cac
     """Cache byte accounting for a set of concurrently resident sequences."""
     if not seq_lens:
         raise ValueError("seq_lens must be non-empty")
-    if any(length < 0 for length in seq_lens):
+    if set(map(type, seq_lens)) != {int}:  # one C-level pass; bool is not int
+        bad = next(length for length in seq_lens if type(length) is not int)
+        raise ValueError(f"sequence lengths must be integers, got {bad!r}")
+    if min(seq_lens) < 0:
         raise ValueError("sequence lengths must be >= 0")
     per_token = kv_cache_bytes(cfg, 1, 1)
     live = per_token * sum(seq_lens)
-    allocated = per_token * sum(allocated_tokens(layout, length) for length in seq_lens)
+    allocated = per_token * sum(map(partial(_allocated_tokens, layout), seq_lens))
     return CacheStats(allocated_bytes=allocated, live_bytes=live,
                       wasted_bytes=allocated - live)
 
@@ -91,9 +100,8 @@ def max_concurrency(layout: CacheLayout, cfg: ModelConfig, hw: HardwareSpec,
     """Largest number of per_seq_len-token sequences whose cache fits beside
     the weights in hw memory. Zero is a valid answer."""
     free = _free_kv_bytes(hw, model_weight_bytes)
-    if per_seq_len < 1:
-        raise ValueError(f"per_seq_len must be >= 1, got {per_seq_len}")
-    per_seq_bytes = kv_cache_bytes(cfg, 1, 1) * allocated_tokens(layout, per_seq_len)
+    _require_positive("per_seq_len", per_seq_len)
+    per_seq_bytes = kv_cache_bytes(cfg, 1, 1) * _allocated_tokens(layout, per_seq_len)
     return free // per_seq_bytes
 
 

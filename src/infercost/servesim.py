@@ -35,15 +35,19 @@ Decode spans: between two scheduler events a batch whose items are all
 one-token decodes keeps its sequences and its admission state, and each
 step's s_past grows by one. The engine advances such a stretch in one pass:
 it prices every step with one array evaluation of the decode model (a mixed
-step of decode tokens only has one constant price), takes the boundaries as
-a left-to-right cumulative sum, exactly like adding the steps one by one,
-and appends one StepRecord per step. StepRecord is a NamedTuple, so a span
-builds its records in C from zipped columns, without a Python-level call per
-record; single steps call StepRecord(...). A span ends before the step that
-completes a sequence and before the first step that starts at or after the
-next arrival; those steps, and every step that carries a prompt token, run
-one at a time. Simulator cost therefore scales with scheduler events, not
-with generated tokens, and the records equal those of a step-by-step loop.
+step of decode tokens only has one constant price) and takes the boundaries
+as a left-to-right cumulative sum, exactly like adding the steps one by one.
+A span ends before the step that completes a sequence and before the first
+step that starts at or after the next arrival; those steps, and every step
+that carries a prompt token, run one at a time. Simulator cost therefore
+scales with scheduler events, not with generated tokens.
+
+Step storage: a run's steps are a StepTable, one read-only numpy column per
+StepRecord field, so no Python object exists per step. A span contributes
+slices of its boundary array and run lengths of its constant fields; single
+steps contribute scalars; the columns are joined once when the run ends.
+Indexing and iterating a StepTable yield StepRecords equal to those of a
+step-by-step loop.
 
 KV accounting: admission reserves the maximum cache a request will ever hold
 (input_len + output_len - 1 tokens, rounded up per the capacity's layout) and
@@ -60,10 +64,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -203,8 +209,110 @@ class StepRecord(NamedTuple):
 
 
 # A StepRecord from one 7-tuple, built in C without the Python-level __new__
-# that StepRecord(...) runs; decode spans build one per simulated step.
+# that StepRecord(...) runs.
 _new_step_record = partial(tuple.__new__, StepRecord)
+
+_ITER_CHUNK = 4096  # rows a StepTable turns into Python objects at a time
+
+
+class StepTable(Sequence):
+    """A run's steps as read-only numpy columns, one per StepRecord field.
+
+    start_s and end_s are float64; batch, tokens, generated and reserved_bytes
+    are int64; kind holds int8 codes into KINDS. len, indexing (negative too)
+    and iteration yield StepRecords; a slice is a StepTable of views. A table
+    equals another table with equal columns and, in both directions, any
+    sequence of equal records.
+    """
+
+    __slots__ = StepRecord._fields
+    KINDS = ("prefill", "decode", "mixed")
+    _DTYPES = (np.float64, np.float64, np.int8, np.int64, np.int64, np.int64, np.int64)
+
+    def __init__(self, start_s, end_s, kind, batch, tokens, generated, reserved_bytes):
+        columns = (start_s, end_s, kind, batch, tokens, generated, reserved_bytes)
+        for name, values, dtype in zip(self.__slots__, columns, self._DTYPES):
+            col = np.asarray(values, dtype=dtype).view()  # a view: the caller's flags stay
+            col.flags.writeable = False
+            setattr(self, name, col)
+        if any(col.ndim != 1 or len(col) != len(self.start_s) for col in self._columns()):
+            raise ValueError("StepTable columns must be 1-D and of equal length")
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.start_s)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return StepTable(*(col[index] for col in self._columns()))
+        row = [col[operator.index(index)].item() for col in self._columns()]
+        row[2] = self.KINDS[row[2]]
+        return _new_step_record(row)
+
+    def _rows(self, lo: int):
+        hi = lo + _ITER_CHUNK
+        cols = [col[lo:hi].tolist() for col in self._columns()]
+        cols[2] = map(self.KINDS.__getitem__, cols[2])
+        return map(_new_step_record, zip(*cols))
+
+    def __iter__(self):
+        # Fixed-size chunks: tolist() over whole columns would hold every
+        # row's Python objects at once.
+        return chain.from_iterable(map(self._rows, range(0, len(self), _ITER_CHUNK)))
+
+    def __eq__(self, other):
+        if isinstance(other, StepTable):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StepTable({len(self)} steps)"
+
+
+_KIND_CODES = {kind: code for code, kind in enumerate(StepTable.KINDS)}
+
+
+class _StepLog:
+    """Gathers a run's steps column by column, in step order. A single step
+    appends Python scalars; a decode span appends slices of its boundary
+    array. kind, batch, tokens, generated and reserved_bytes take one value
+    per single step or span, with the number of steps it stands for."""
+
+    def __init__(self):
+        self.start: list[float] = []  # single steps since the last span
+        self.end: list[float] = []
+        self.start_parts: list = [self.start]  # those lists and span slices, in order
+        self.end_parts: list = [self.end]
+        self.fields: tuple[list, ...] = ([], [], [], [], [])
+        self.counts: list[int] = []
+
+    def step(self, start: float, end: float, *fields) -> None:
+        self.start.append(start)
+        self.end.append(end)
+        self._repeat(1, fields)
+
+    def span(self, bounds: np.ndarray, *fields) -> None:
+        self.start, self.end = [], []
+        self.start_parts += [bounds[:-1], self.start]
+        self.end_parts += [bounds[1:], self.end]
+        self._repeat(len(bounds) - 1, fields)
+
+    def _repeat(self, count: int, fields: tuple) -> None:
+        for values, value in zip(self.fields, fields):
+            values.append(value)
+        self.counts.append(count)
+
+    def table(self) -> StepTable:
+        kinds, *ints = self.fields
+        codes = list(map(_KIND_CODES.__getitem__, kinds))
+        return StepTable(
+            np.concatenate(self.start_parts), np.concatenate(self.end_parts),
+            *(np.repeat(np.array(values, dtype=dtype), self.counts)
+              for values, dtype in zip((codes, *ints), StepTable._DTYPES[2:])))
 
 
 @dataclass(frozen=True)
@@ -224,7 +332,7 @@ EMPTY_METRICS = ServingMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0)
 class RunResult:
     metrics: ServingMetrics
     records: tuple[RequestRecord, ...]
-    steps: tuple[StepRecord, ...]
+    steps: StepTable
     generated_tokens: int
     peak_reserved_bytes: int
     capacity_bytes: Optional[int]
@@ -271,11 +379,11 @@ def _price_step(kind: str, items, cfg: ModelConfig, coeffs: CoefficientPair) -> 
 
 
 def _decode_span(kind: str, items, t: float, arrival_s: Optional[float],
-                 cfg: ModelConfig, coeffs: CoefficientPair) -> Optional[list[float]]:
-    """Boundaries [t, t_1, ..., t_n] of the decode-only steps from t up to the
-    next scheduler event, or None when the next step is itself an event (it
-    carries a prompt token or completes a sequence). arrival_s is the next
-    arrival, None when no request is still to arrive."""
+                 cfg: ModelConfig, coeffs: CoefficientPair) -> Optional[np.ndarray]:
+    """Float64 array of the boundaries [t, t_1, ..., t_n] of the decode-only
+    steps from t up to the next scheduler event, or None when the next step
+    is itself an event (it carries a prompt token or completes a sequence).
+    arrival_s is the next arrival, None when no request is still to arrive."""
     if kind == "prefill" or any(seq.remaining_prompt for seq, _, _ in items):
         return None
     n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output) - 1
@@ -291,7 +399,7 @@ def _decode_span(kind: str, items, t: float, arrival_s: Optional[float],
     bounds = np.cumsum(np.concatenate(([t], durations)))
     if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
         n = int(np.searchsorted(bounds[:n], arrival_s))
-    return bounds[:n + 1].tolist()
+    return bounds[:n + 1]
 
 
 def _reservation(req: Request, per_token: int, capacity: Optional[KvCapacity]) -> int:
@@ -384,7 +492,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
     waiting: deque[_Seq] = deque()
     running: list[_Seq] = []
     records: list[RequestRecord] = []
-    steps: list[StepRecord] = []
+    steps = _StepLog()
     t = 0.0
     next_arrival = reserved = peak = generated_tokens = 0
     while next_arrival < len(pending) or waiting or running:
@@ -405,7 +513,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
             t = max(t, arrival_s)
             continue
         bounds = _decode_span(kind, items, t, arrival_s, cfg, coeffs)
-        if bounds:
+        if bounds is not None:
             n = len(bounds) - 1
             generating = 0
             for seq, _, _ in items:
@@ -414,10 +522,8 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
                     seq.remaining_output -= n
                     generating += 1
             generated_tokens += n * generating
-            steps.extend(map(_new_step_record, zip(
-                bounds[:-1], bounds[1:], repeat(kind, n), repeat(len(items), n),
-                repeat(len(items), n), repeat(generating, n), repeat(reserved, n))))
-            t = bounds[-1]
+            steps.span(bounds, kind, len(items), len(items), generating, reserved)
+            t = float(bounds[-1])
             continue
         start = t
         t += _price_step(kind, items, cfg, coeffs)
@@ -439,7 +545,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
             if not seq.remaining_output:
                 finished.append(seq)
         generated_tokens += generated
-        steps.append(StepRecord(start, t, kind, len(items), tokens, generated, reserved))
+        steps.step(start, t, kind, len(items), tokens, generated, reserved)
         if not finished:
             continue
         for seq in finished:
@@ -455,7 +561,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
     return RunResult(
         metrics=compute_metrics(records),
         records=tuple(records),
-        steps=tuple(steps),
+        steps=steps.table(),
         generated_tokens=generated_tokens,
         peak_reserved_bytes=peak,
         capacity_bytes=None if capacity is None else capacity.total_bytes,
@@ -535,7 +641,7 @@ def metrics_csv_text(rows) -> str:
 
 __all__ = [
     "Request", "Static", "Continuous", "SplitFuse", "SchedulingPolicy",
-    "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord",
+    "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
     "ServingMetrics", "RunResult", "CapacityError", "MissingCoefficientError",
     "run", "trim_warmup", "sweep_rates", "compute_metrics", "describe_policy",
     "write_metrics_csv", "metrics_csv_text", "METRICS_CSV_HEADER",

@@ -193,3 +193,27 @@ class TestMaxConcurrency:
         per_seq = kv_cache_bytes(LLAMA7B, 1, 1) * length
         assert weight + m * per_seq <= A800.memory_bytes
         assert weight + (m + 1) * per_seq > A800.memory_bytes
+
+
+# Each call passes a float or a bool where a token or sequence count belongs.
+NON_INTEGER_COUNTS = {
+    "allocated_tokens-float": lambda: allocated_tokens(Paged(16), 2.5),
+    "allocated_tokens-bool": lambda: allocated_tokens(Paged(16), True),
+    "footprint-bool": lambda: footprint(Paged(16), LLAMA7B, [True, 3]),
+    "footprint-float": lambda: footprint(TokenGranular(), LLAMA7B, [2.5]),
+    "kv_cache_bytes-float-b": lambda: kv_cache_bytes(LLAMA7B, 1.5, True),
+    "kv_cache_bytes-bool-s": lambda: kv_cache_bytes(LLAMA7B, 1, True),
+    "cache_step_bytes-float-b": lambda: cache_step_bytes(Paged(), LLAMA7B, 1.5, 0),
+    "cache_step_bytes-bool-s_past": lambda: cache_step_bytes(Paged(), LLAMA7B, 1, True),
+    "max_concurrency-float": lambda: max_concurrency(
+        TokenGranular(), LLAMA7B, A800, 13_000_000_000, per_seq_len=2.5),
+    "max_concurrency-bool": lambda: max_concurrency(
+        TokenGranular(), LLAMA7B, A800, 13_000_000_000, per_seq_len=True),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_INTEGER_COUNTS.values()),
+                         ids=list(NON_INTEGER_COUNTS))
+def test_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be (an integer|integers), got"):
+        call()

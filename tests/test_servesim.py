@@ -6,6 +6,7 @@ phi = 1 on a config where h * l = 4, i.e. 4 * b * s_past milliseconds.
 """
 
 import csv
+import gc
 import io
 
 import pytest
@@ -32,6 +33,7 @@ from infercost.servesim import (
     SplitFuse,
     Static,
     StepRecord,
+    StepTable,
     compute_metrics,
     describe_policy,
     metrics_csv_text,
@@ -504,7 +506,7 @@ class TestInvariantsAcrossPolicies:
 
         def spy(*args):
             bounds = decode_span(*args)
-            if bounds:
+            if bounds is not None:
                 span_steps.append(len(bounds) - 1)
             return bounds
 
@@ -524,6 +526,73 @@ class TestInvariantsAcrossPolicies:
                 f"kind={step.kind!r}, batch={step.batch!r}, tokens={step.tokens!r}, "
                 f"generated={step.generated!r}, reserved_bytes={step.reserved_bytes!r})")
             assert hash(step) == hash(tuple(step))
+
+
+class TestStepTable:
+    TRACE = [req(0, 2, 6), req(1, 3, 4), req(2, 1, 5, at=0.5)]
+
+    def steps(self):
+        return run(Continuous(max_seqs=3), self.TRACE, TINY, ORACLE).steps
+
+    def test_equals_a_sequence_of_records_in_both_directions(self):
+        steps = self.steps()
+        records = tuple(steps)
+        assert isinstance(steps, StepTable) and len(records) == len(steps) > 4
+        assert steps == records and records == steps
+        assert steps == list(records) and list(records) == steps
+        assert steps == self.steps()
+        last = records[-1]
+        changed = records[:-1] + (last._replace(end_s=last.end_s + 1.0),)
+        assert steps != changed and changed != steps
+        assert steps != records[:-1] and records[:-1] != steps
+        empty = run(Continuous(max_seqs=3), [], TINY, ORACLE).steps
+        assert empty == () and () == empty and empty != records
+
+    def test_index_and_slice_match_the_records(self):
+        steps = self.steps()
+        records = tuple(steps)
+        assert type(steps[-1]) is StepRecord and steps[-1] == records[-1]
+        assert steps[2:4] == records[2:4] and isinstance(steps[2:4], StepTable)
+        assert [steps[i] for i in range(len(steps))] == list(records)
+        with pytest.raises(IndexError):
+            steps[len(steps)]
+
+    def test_columns_are_read_only(self):
+        steps = self.steps()
+        for name in StepRecord._fields:
+            column = getattr(steps, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        assert [StepTable.KINDS[code] for code in steps.kind] == [s.kind for s in steps]
+
+    def test_iteration_crosses_chunk_boundaries(self):
+        steps = run(Continuous(max_seqs=1), [req(0, 1, 9000)], TINY, ORACLE).steps
+        records = list(steps)
+        assert len(records) == len(steps) == 9000
+        for i in (0, 4095, 4096, 4097, 8191, 8192, 8999):
+            assert records[i] == steps[i] == steps[i - 9000]
+            assert type(records[i].start_s) is float and type(records[i].batch) is int
+
+    def test_request_times_stay_python_floats(self):
+        # Records completed right after a decode span take their times from
+        # the span's boundary array; repr(records) must not show numpy scalars.
+        result = run(Continuous(max_seqs=3), self.TRACE, TINY, ORACLE)
+        for record in result.records:
+            assert type(record.first_token_s) is float
+            assert type(record.completion_s) is float
+
+    def test_objects_kept_alive_do_not_grow_with_steps(self):
+        def tracked_objects_kept(n):
+            gc.collect()
+            before = len(gc.get_objects())
+            result = run(Continuous(max_seqs=1), [req(0, 1, n)], TINY, ORACLE)
+            gc.collect()
+            kept = len(gc.get_objects()) - before
+            assert len(result.steps) == n
+            return kept
+
+        tracked_objects_kept(1_000)  # warm caches the first run fills
+        assert tracked_objects_kept(50_000) <= tracked_objects_kept(1_000) + 10
 
 
 @settings(max_examples=40, deadline=None)
