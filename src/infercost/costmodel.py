@@ -13,6 +13,12 @@ different arguments (w = bytes_per_scalar):
   cache update  decode only: the bytes the KV-cache layout moves to append one
                 token per sequence (cache_update_mops)
 
+Rows are placed by position: _token_ops returns its eight rows as a tuple in
+layer order (the kinds come from PREFILL_OP_ORDER), and prefill_op_costs and
+decode_op_costs splice the attention row (in decode, the cache-update row and
+then attention) in after QkvProj and Rope. The tests check that the result
+follows PREFILL_OP_ORDER and DECODE_OP_ORDER.
+
 FLOPs count 2 per multiply-accumulate, 6 per rotary pair, a lump 4 per
 attention-score element for scale+softmax, 5 per element for residual-add +
 RMSNorm, and 2 per element for Swish+multiply. MOPs are an ideal single-pass
@@ -29,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Union
 
 from .arch import ModelConfig, _require_nonnegative, _require_positive
@@ -78,7 +85,7 @@ def _intensity(flops: int, mops: int) -> float:
     return flops / mops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OpCost:
     """FLOPs and modeled bytes moved for one operation.
 
@@ -90,9 +97,13 @@ class OpCost:
     flops: int
     mops: int
 
-    def __post_init__(self) -> None:
-        if self.flops < 0 or self.mops < 0:
+    def __init__(self, kind: OpKind, flops: int, mops: int) -> None:
+        # Written by hand: the generated frozen __init__ pays one
+        # object.__setattr__ per field and a __post_init__ frame per row.
+        if flops < 0 or mops < 0:
             raise ValueError("flops and mops must be non-negative")
+        fields = self.__dict__
+        fields["kind"], fields["flops"], fields["mops"] = kind, flops, mops
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -128,21 +139,28 @@ class TokenGranular:
 CacheLayout = Union[Vanilla, Paged, TokenGranular]
 
 
-def _token_ops(cfg: ModelConfig, t: int) -> dict[OpKind, OpCost]:
+# The token-wise kinds in layer order. Unpacking them is cheaper than reading
+# eight members off the Enum class, which is a slow lookup on Python 3.11.
+_TOKEN_OP_KINDS = tuple(kind for kind in PREFILL_OP_ORDER if kind is not OpKind.ATTENTION)
+
+
+def _token_ops(cfg: ModelConfig, t: int) -> tuple[OpCost, ...]:
     """The eight ops that act on each of t tokens independently, with every
-    weight matrix read once."""
+    weight matrix read once, in layer order: QkvProj, Rope, then OutProj
+    through AddNormFfn."""
+    qkv, rope, out, add_norm_attn, gate_up, swish_mul, down, add_norm_ffn = _TOKEN_OP_KINDS
     h, hf, w = cfg.hidden_size, cfg.intermediate_size, cfg.bytes_per_scalar
     add_norm_flops, add_norm_mops = 5 * t * h, w * (3 * t * h + h)
-    return {op.kind: op for op in (
-        OpCost(OpKind.QKV_PROJ, 6 * t * h * h, w * (4 * t * h + 3 * h * h)),
-        OpCost(OpKind.ROPE, 6 * t * h, w * 4 * t * h),
-        OpCost(OpKind.OUT_PROJ, 2 * t * h * h, w * (2 * t * h + h * h)),
-        OpCost(OpKind.ADD_NORM_ATTN, add_norm_flops, add_norm_mops),
-        OpCost(OpKind.GATE_UP_PROJ, 4 * t * h * hf, w * (t * h + 2 * h * hf + 2 * t * hf)),
-        OpCost(OpKind.SWISH_MUL, 2 * t * hf, w * 3 * t * hf),
-        OpCost(OpKind.DOWN_PROJ, 2 * t * h * hf, w * (t * hf + h * hf + t * h)),
-        OpCost(OpKind.ADD_NORM_FFN, add_norm_flops, add_norm_mops),
-    )}
+    return (
+        OpCost(qkv, 6 * t * h * h, w * (4 * t * h + 3 * h * h)),
+        OpCost(rope, 6 * t * h, w * 4 * t * h),
+        OpCost(out, 2 * t * h * h, w * (2 * t * h + h * h)),
+        OpCost(add_norm_attn, add_norm_flops, add_norm_mops),
+        OpCost(gate_up, 4 * t * h * hf, w * (t * h + 2 * h * hf + 2 * t * hf)),
+        OpCost(swish_mul, 2 * t * hf, w * 3 * t * hf),
+        OpCost(down, 2 * t * h * hf, w * (t * hf + h * hf + t * h)),
+        OpCost(add_norm_ffn, add_norm_flops, add_norm_mops),
+    )
 
 
 def _attention(cfg: ModelConfig, b: int, q: int, k: int) -> OpCost:
@@ -156,9 +174,8 @@ def _attention(cfg: ModelConfig, b: int, q: int, k: int) -> OpCost:
 def prefill_op_costs(cfg: ModelConfig, b: int, s: int) -> list[OpCost]:
     """Per-operation costs of one decoder layer processing a b x s prompt."""
     _require_positive("b and s", b, s)
-    ops = _token_ops(cfg, b * s)
-    ops[OpKind.ATTENTION] = _attention(cfg, b, s, s)
-    return [ops[kind] for kind in PREFILL_OP_ORDER]
+    qkv, rope, *rest = _token_ops(cfg, b * s)
+    return [qkv, rope, _attention(cfg, b, s, s), *rest]
 
 
 def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int) -> int:
@@ -185,10 +202,9 @@ def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
     sequence with s_past cached tokens each."""
     _require_positive("b and s_past", b, s_past)
     cache_mops = cache_update_mops(cache_layout, cfg, b, s_past)
-    ops = _token_ops(cfg, b)
-    ops[OpKind.CACHE_UPDATE] = OpCost(OpKind.CACHE_UPDATE, 0, cache_mops)
-    ops[OpKind.ATTENTION] = _attention(cfg, b, 1, s_past)
-    return [ops[kind] for kind in DECODE_OP_ORDER]
+    qkv, rope, *rest = _token_ops(cfg, b)
+    return [qkv, rope, OpCost(OpKind.CACHE_UPDATE, 0, cache_mops),
+            _attention(cfg, b, 1, s_past), *rest]
 
 
 @dataclass(frozen=True)
@@ -212,15 +228,17 @@ class ModelCost:
         return self.total_mops
 
 
+_kind, _flops, _mops = attrgetter("kind"), attrgetter("flops"), attrgetter("mops")
+
+
 def aggregate(layer_costs: list[OpCost], cfg: ModelConfig) -> ModelCost:
     """Whole-stack totals of one layer's per-op costs; each op kind at most once."""
-    kinds = [cost.kind for cost in layer_costs]
+    kinds = list(map(_kind, layer_costs))
     if len(set(kinds)) < len(kinds):
         duplicate = next(kind for kind in kinds if kinds.count(kind) > 1)
         raise ValueError(f"duplicate op kind in layer costs: {duplicate}")
     l = cfg.num_layers
-    return ModelCost(l * sum(c.flops for c in layer_costs),
-                     l * sum(c.mops for c in layer_costs))
+    return ModelCost(l * sum(map(_flops, layer_costs)), l * sum(map(_mops, layer_costs)))
 
 
 def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:

@@ -56,14 +56,24 @@ def ridge_point(hw: HardwareSpec) -> float:
 
 
 def classify(cost: OpCost, hw: HardwareSpec) -> BoundKind:
-    """ComputeBound iff the op's intensity strictly exceeds the ridge point."""
-    if cost.mops == 0 and cost.flops > 0:
+    """ComputeBound iff the op's intensity strictly exceeds the ridge point.
+
+    The test is exact: flops * bandwidth > peak * mops on the integer counts,
+    so an op one FLOP above the ridge is ComputeBound even where the two
+    float quotients round to the same value, and an exact tie is MemoryBound.
+    """
+    flops, mops = cost.flops, cost.mops
+    if mops == 0 and flops > 0:
         name = getattr(getattr(cost, "kind", None), "value", type(cost).__name__)
-        raise DegenerateCostError(
-            f"{name}: flops={cost.flops} with zero modeled traffic")
-    if cost.arithmetic_intensity > ridge_point(hw):
-        return BoundKind.COMPUTE_BOUND
-    return BoundKind.MEMORY_BOUND
+        raise DegenerateCostError(f"{name}: flops={flops} with zero modeled traffic")
+    if flops * hw.bandwidth_bytes_per_s > hw.peak_flops_per_s * mops:
+        return _COMPUTE_BOUND
+    return _MEMORY_BOUND
+
+
+# Bound once: on Python 3.11 reading a member off its Enum class costs about
+# as much as the rest of classify.
+_COMPUTE_BOUND, _MEMORY_BOUND = BoundKind.COMPUTE_BOUND, BoundKind.MEMORY_BOUND
 
 
 def attainable_flops(ai: float, hw: HardwareSpec) -> float:

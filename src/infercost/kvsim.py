@@ -9,9 +9,9 @@ layouts differ in per-step traffic (copy vs append) and in allocation waste
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
+from operator import floordiv
 
 from .arch import ModelConfig, _require_nonnegative, _require_positive
 from .costmodel import (CacheLayout, Paged, TokenGranular, Vanilla, cache_update_mops,
@@ -53,7 +53,7 @@ def _allocated_tokens(layout: CacheLayout, length: int) -> int:
                 f"sequence of {length} tokens exceeds reserved_len={layout.reserved_len}")
         return layout.reserved_len
     if isinstance(layout, Paged):
-        return math.ceil(length / layout.block_size) * layout.block_size
+        return -(length // -layout.block_size) * layout.block_size  # exact ceil
     if isinstance(layout, TokenGranular):
         return length
     raise TypeError(f"unknown cache layout: {layout!r}")
@@ -78,17 +78,26 @@ def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> Cac
         raise ValueError(f"sequence lengths must be integers, got {bad!r}")
     if min(seq_lens) < 0:
         raise ValueError("sequence lengths must be >= 0")
+    live = sum(seq_lens)
+    if isinstance(layout, Vanilla):
+        # Every sequence reserves reserved_len; only the longest can overflow.
+        allocated = _allocated_tokens(layout, max(seq_lens)) * len(seq_lens)
+    elif isinstance(layout, Paged):
+        # Sum of the exact ceilings -(length // -block), in one C pass.
+        block = layout.block_size
+        allocated = -sum(map(floordiv, seq_lens, repeat(-block))) * block
+    elif isinstance(layout, TokenGranular):
+        allocated = live
+    else:
+        raise TypeError(f"unknown cache layout: {layout!r}")
     per_token = kv_cache_bytes(cfg, 1, 1)
-    live = per_token * sum(seq_lens)
-    allocated = per_token * sum(map(partial(_allocated_tokens, layout), seq_lens))
-    return CacheStats(allocated_bytes=allocated, live_bytes=live,
-                      wasted_bytes=allocated - live)
+    return CacheStats(allocated_bytes=per_token * allocated, live_bytes=per_token * live,
+                      wasted_bytes=per_token * (allocated - live))
 
 
 def _free_kv_bytes(hw: HardwareSpec, model_weight_bytes: int) -> int:
     """Device memory left for the KV cache beside the model weights."""
-    if model_weight_bytes < 0:
-        raise ValueError(f"model_weight_bytes must be >= 0, got {model_weight_bytes}")
+    _require_nonnegative("model_weight_bytes", model_weight_bytes)
     if model_weight_bytes >= hw.memory_bytes:
         raise ValueError(f"model weights ({model_weight_bytes} B) do not fit in "
                          f"{hw.name} memory ({hw.memory_bytes} B)")

@@ -76,7 +76,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .arch import ModelConfig, Phase, _require_positive
+from .arch import ModelConfig, Phase, _require_nonnegative, _require_positive
 from .costmodel import kv_cache_bytes
 from .estimator import RegressionCoefficients, predict_at
 from .hardware import HardwareSpec
@@ -167,8 +167,7 @@ class KvCapacity:
     total_bytes: int
 
     def __post_init__(self) -> None:
-        if self.total_bytes < 0:
-            raise ValueError("total_bytes must be >= 0")
+        _require_nonnegative("total_bytes", self.total_bytes)
 
     @classmethod
     def from_hardware(cls, layout: CacheLayout, hw: HardwareSpec,

@@ -24,6 +24,8 @@ from infercost import (
     prefill_op_costs,
 )
 from infercost.arch import MODEL_PRESETS
+from infercost.hardware import HARDWARE_PRESETS, classify, lower_bound_time
+from infercost.kvsim import cache_step_bytes, footprint, max_concurrency
 from oracles import (
     brute_decode_bytes,
     brute_decode_flops,
@@ -132,6 +134,17 @@ def test_opcost_intensity_is_not_a_constructor_argument():
         OpCost(OpKind.QKV_PROJ, 10, 4, 1e9)
     with pytest.raises(AttributeError):
         OpCost(OpKind.QKV_PROJ, 10, 4).arithmetic_intensity = 1e9
+
+
+def test_opcost_is_a_frozen_value():
+    cost = OpCost(OpKind.ROPE, 6, 8)
+    assert cost == OpCost(kind=OpKind.ROPE, flops=6, mops=8) != OpCost(OpKind.ROPE, 6, 9)
+    assert hash(cost) == hash(OpCost(OpKind.ROPE, 6, 8))
+    assert repr(cost) == "OpCost(kind=<OpKind.ROPE: 'Rope'>, flops=6, mops=8)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cost.flops = 7
+    with pytest.raises(ValueError, match="non-negative"):
+        OpCost(OpKind.ROPE, 6, -1)
 
 
 def test_replaced_opcost_recomputes_intensity():
@@ -262,3 +275,38 @@ def test_cost_model_golden_digest():
     for row in _cost_model_rows():
         digest.update(repr(row).encode())
     assert digest.hexdigest() == COST_MODEL_DIGEST
+
+
+# sha256 over the roofline and KV outputs on the same grid: the bound of every
+# op and the roofline floor of every aggregate on each hardware preset, and
+# each layout's footprint of a ragged batch (so Paged rounds some lengths up),
+# per-step cache traffic and concurrency. Same update rule as above.
+ROOFLINE_KV_DIGEST = "3186504f7535731d34ae3b84fd70628df29d7aae02c35644868a50ae155f689d"
+
+
+def _roofline_kv_rows():
+    layouts = (Paged(16), Vanilla(8192), TokenGranular())
+    for cfg in (MODEL_PRESETS["llama2-7b"], MODEL_PRESETS["llama2-13b"], TINY):
+        for b in (1, 2, 7, 64):
+            for s in (1, 2, 31, 512, 4096):
+                op_lists = [prefill_op_costs(cfg, b, s)]
+                op_lists += [decode_op_costs(cfg, b, s, cache_layout=layout)
+                             for layout in layouts]
+                for name, hw in sorted(HARDWARE_PRESETS.items()):
+                    yield (name, b, s,
+                           [classify(op, hw).value for ops in op_lists for op in ops],
+                           [repr(lower_bound_time(aggregate(ops, cfg), hw))
+                            for ops in op_lists])
+                for layout in layouts:
+                    stats = footprint(layout, cfg, [s + i for i in range(b)])
+                    yield (repr(layout), b, s, stats.allocated_bytes, stats.live_bytes,
+                           stats.wasted_bytes, cache_step_bytes(layout, cfg, b, s),
+                           [max_concurrency(layout, cfg, hw, 10 ** 9, s)
+                            for _, hw in sorted(HARDWARE_PRESETS.items())])
+
+
+def test_roofline_and_kv_golden_digest():
+    digest = hashlib.sha256()
+    for row in _roofline_kv_rows():
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == ROOFLINE_KV_DIGEST

@@ -58,6 +58,14 @@ class TestClassify:
         assert classify(op(8, 1), hw) is BoundKind.MEMORY_BOUND
         assert classify(op(9, 1), hw) is BoundKind.COMPUTE_BOUND
 
+    @pytest.mark.parametrize("extra,bound", [(0, BoundKind.MEMORY_BOUND),
+                                             (1, BoundKind.COMPUTE_BOUND)])
+    def test_near_tie_classifies_exactly(self, extra, bound):
+        # At k = 10**12 both ops' float intensities equal the A800's float
+        # ridge; only the exact comparison tells one FLOP above the tie.
+        k = 10 ** 12
+        assert classify(op(312_000 * k + extra, 2039 * k), A800) is bound
+
     def test_zero_flops_is_memory_bound(self):
         assert classify(op(0, 100, kind=OpKind.CACHE_UPDATE), A800) is BoundKind.MEMORY_BOUND
 

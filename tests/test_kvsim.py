@@ -18,6 +18,7 @@ from infercost.kvsim import (
     footprint,
     max_concurrency,
 )
+from infercost.servesim import KvCapacity
 
 LLAMA7B = ModelConfig(4096, 11008, 32, 128, 32)
 UNIT = ModelConfig(1, 1, 1, 1, 1)  # h=1, one head of dim 1, one layer
@@ -49,6 +50,13 @@ class TestAllocatedTokens:
         assert allocated_tokens(layout, 17) == 32
         assert allocated_tokens(layout, 511) == 512
 
+    def test_paged_is_exact_past_float_precision(self):
+        # 2**53 + 1 has no float; a float ceil rounds it down to 2**53.
+        length = 2 ** 53 + 1
+        assert allocated_tokens(Paged(16), length) == 2 ** 53 + 16
+        stats = footprint(Paged(16), UNIT, [length, 1])
+        assert stats.wasted_bytes == 30 * kv_cache_bytes(UNIT, 1, 1)
+
     def test_token_granular_is_exact(self):
         assert allocated_tokens(TokenGranular(), 0) == 0
         assert allocated_tokens(TokenGranular(), 137) == 137
@@ -60,6 +68,8 @@ class TestAllocatedTokens:
     def test_unknown_layout_rejected(self):
         with pytest.raises(TypeError, match="unknown cache layout"):
             allocated_tokens("paged", 4)
+        with pytest.raises(TypeError, match="unknown cache layout"):
+            footprint("paged", UNIT, [4])
 
     @given(length=st.integers(0, 100_000), block=st.integers(1, 64))
     def test_paged_never_below_token_granular(self, length, block):
@@ -146,6 +156,9 @@ class TestFootprint:
             return
         assert stats.allocated_bytes == stats.live_bytes + stats.wasted_bytes
         assert stats.wasted_bytes >= 0
+        # The per-layout closed forms equal the per-sequence sum.
+        assert stats.allocated_bytes == kv_cache_bytes(UNIT, 1, 1) * sum(
+            allocated_tokens(layout, length) for length in lens)
 
     def test_cache_stats_identity_enforced(self):
         with pytest.raises(ValueError, match="live_bytes \\+ wasted_bytes"):
@@ -209,6 +222,13 @@ NON_INTEGER_COUNTS = {
         TokenGranular(), LLAMA7B, A800, 13_000_000_000, per_seq_len=2.5),
     "max_concurrency-bool": lambda: max_concurrency(
         TokenGranular(), LLAMA7B, A800, 13_000_000_000, per_seq_len=True),
+    # Byte amounts follow the same rule.
+    "max_concurrency-float-weight": lambda: max_concurrency(
+        TokenGranular(), LLAMA7B, A800, 13e9, 2048),
+    "max_concurrency-bool-weight": lambda: max_concurrency(
+        TokenGranular(), LLAMA7B, A800, True, 2048),
+    "KvCapacity-float": lambda: KvCapacity(Paged(16), 2.5e9),
+    "KvCapacity-bool": lambda: KvCapacity(Paged(16), True),
 }
 
 
