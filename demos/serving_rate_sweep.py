@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+from pathlib import Path
 
 from infercost import (
     CoefficientPair,
@@ -25,7 +26,6 @@ from infercost import (
     metrics_csv_text,
     resolve_model,
     sweep_rates,
-    write_metrics_csv,
 )
 from infercost.cli import paper_data_dir
 
@@ -77,7 +77,7 @@ def main():
         print(f"    throughput peaks at {peak:g} req/s offered load\n")
 
     if args.out:
-        write_metrics_csv(csv_rows, args.out)
+        Path(args.out).write_text(metrics_csv_text(csv_rows), encoding="utf-8", newline="")
         print(f"wrote {args.out}")
     else:
         print("pass --out sweep.csv to capture these rows; format:")

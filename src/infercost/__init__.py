@@ -54,7 +54,6 @@ from .estimator import (
     fit_design,
     load_coefficients,
     load_timing_samples,
-    predict,
     predict_at,
     prefill_features,
     save_coefficients,
@@ -101,7 +100,6 @@ from .servesim import (
     run,
     sweep_rates,
     trim_warmup,
-    write_metrics_csv,
 )
 from .workload import Scenario, generate, load_trace, save_trace
 
@@ -123,7 +121,7 @@ __all__ = [
     "hardware_preset", "resolve_hardware", "load_hardware",
     # estimator
     "TimingSample", "RegressionCoefficients", "FitResult", "fit", "fit_design",
-    "predict", "predict_at", "prefill_features", "decode_features",
+    "predict_at", "prefill_features", "decode_features",
     "features_for", "coeff_names", "UnderdeterminedSystemError",
     "load_timing_samples", "load_coefficients", "save_coefficients",
     # kvsim
@@ -134,7 +132,7 @@ __all__ = [
     "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
     "ServingMetrics", "RunResult", "CapacityError", "MissingCoefficientError",
     "run", "trim_warmup", "sweep_rates", "compute_metrics",
-    "describe_policy", "metrics_csv_text", "write_metrics_csv",
+    "describe_policy", "metrics_csv_text",
     # workload
     "Scenario", "generate", "save_trace", "load_trace",
 ]

@@ -228,9 +228,9 @@ def roofline_csv(ops, hw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def roofline_svg(ops, hw, width: int = 720, height: int = 480) -> str:
+def roofline_svg(ops, hw) -> str:
     """Hand-rolled log-log scatter of intensity vs attainable throughput."""
-    pad = 60.0
+    width, height, pad = 720, 480, 60.0
     pts = [(op.kind.value, op.arithmetic_intensity,
             hardware.attainable_flops(op.arithmetic_intensity, hw))
            for op in ops if op.arithmetic_intensity > 0

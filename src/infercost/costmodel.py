@@ -243,9 +243,7 @@ def aggregate(layer_costs: list[OpCost], cfg: ModelConfig) -> ModelCost:
 
 def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
     """Bytes held by the K and V caches for b sequences of s tokens, all layers."""
-    if b < 0 or s < 0:
-        raise ValueError("b and s must be non-negative")
-    _require_nonnegative("b and s", b, s)  # rejects floats and bools
+    _require_nonnegative("b and s", b, s)
     return 2 * cfg.num_layers * cfg.hidden_size * cfg.bytes_per_scalar * b * s
 
 

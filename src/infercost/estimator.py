@@ -128,16 +128,6 @@ def _weighted_sum(values, features):
     return total
 
 
-def predict(coeffs: RegressionCoefficients, features) -> float:
-    """Dot product of coefficients with a feature vector -> milliseconds."""
-    features = tuple(features)
-    if len(features) != len(coeffs.values):
-        raise DimensionMismatchError(
-            f"feature vector has {len(features)} entries, "
-            f"{coeffs.phase.value} coefficients expect {len(coeffs.values)}")
-    return float(_weighted_sum(coeffs.values, features))
-
-
 def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int,
                s) -> float | np.ndarray:
     """Predicted milliseconds at (b, s); a decode int64 s array gives an array."""
@@ -264,7 +254,7 @@ __all__ = [
     "UnderdeterminedSystemError",
     "PREFILL_COEFF_NAMES", "DECODE_COEFF_NAMES", "coeff_names",
     "prefill_features", "decode_features", "features_for",
-    "predict", "predict_at", "fit", "fit_design",
+    "predict_at", "fit", "fit_design",
     "load_timing_samples",
     "coefficients_to_dict", "coefficients_from_dict",
     "load_coefficients", "save_coefficients",

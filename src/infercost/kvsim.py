@@ -33,8 +33,7 @@ class CacheStats:
 
     def __post_init__(self) -> None:
         for name in ("allocated_bytes", "live_bytes", "wasted_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _require_nonnegative(name, getattr(self, name))
         if self.allocated_bytes != self.live_bytes + self.wasted_bytes:
             raise ValueError("allocated_bytes must equal live_bytes + wasted_bytes")
 
@@ -63,9 +62,8 @@ def cache_step_bytes(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int)
     """Bytes the cache update moves in one decode step, all layers: num_layers
     times costmodel.cache_update_mops. s_past = 0 (an empty cache) is allowed.
     """
-    if b < 1 or s_past < 0:
-        raise ValueError(f"need b >= 1 and s_past >= 0, got b={b}, s_past={s_past}")
-    _require_nonnegative("b and s_past", b, s_past)  # rejects floats and bools
+    _require_positive("b", b)
+    _require_nonnegative("s_past", s_past)
     return cfg.num_layers * cache_update_mops(layout, cfg, b, s_past)
 
 

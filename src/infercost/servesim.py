@@ -37,15 +37,16 @@ step's s_past grows by one. The engine advances such a stretch in one pass:
 it prices every step with one array evaluation of the decode model (a mixed
 step of decode tokens only has one constant price) and takes the boundaries
 as a left-to-right cumulative sum, exactly like adding the steps one by one.
-A span ends before the step that completes a sequence and before the first
-step that starts at or after the next arrival; those steps, and every step
-that carries a prompt token, run one at a time. Simulator cost therefore
-scales with scheduler events, not with generated tokens.
+A span ends with the step that completes a sequence, or before the first
+step that starts at or after the next arrival; only a step that carries a
+prompt token runs alone. Every run of steps, one step or a span, is applied
+by the same code. Simulator cost therefore scales with scheduler events, not
+with generated tokens.
 
 Step storage: a run's steps are a StepTable, one read-only numpy column per
 StepRecord field, so no Python object exists per step. A span contributes
-slices of its boundary array and run lengths of its constant fields; single
-steps contribute scalars; the columns are joined once when the run ends.
+slices of its boundary array and run lengths of its constant fields; a single
+step contributes scalars; the columns are joined once when the run ends.
 Indexing and iterating a StepTable yield StepRecords equal to those of a
 step-by-step loop.
 
@@ -71,7 +72,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -276,34 +276,31 @@ _KIND_CODES = {kind: code for code, kind in enumerate(StepTable.KINDS)}
 
 
 class _StepLog:
-    """Gathers a run's steps column by column, in step order. A single step
-    appends Python scalars; a decode span appends slices of its boundary
-    array. kind, batch, tokens, generated and reserved_bytes take one value
-    per single step or span, with the number of steps it stands for."""
+    """Gathers a run's steps column by column, in step order. A run of steps
+    comes as its boundaries (t, t_1, ..., t_n): a single step appends Python
+    scalars, a longer run appends slices of its boundary array. kind, batch,
+    tokens, generated and reserved_bytes take one value per run, with the
+    number of steps it stands for."""
 
     def __init__(self):
-        self.start: list[float] = []  # single steps since the last span
+        self.start: list[float] = []  # single steps since the last longer run
         self.end: list[float] = []
-        self.start_parts: list = [self.start]  # those lists and span slices, in order
+        self.start_parts: list = [self.start]  # those lists and run slices, in order
         self.end_parts: list = [self.end]
         self.fields: tuple[list, ...] = ([], [], [], [], [])
         self.counts: list[int] = []
 
-    def step(self, start: float, end: float, *fields) -> None:
-        self.start.append(start)
-        self.end.append(end)
-        self._repeat(1, fields)
-
-    def span(self, bounds: np.ndarray, *fields) -> None:
-        self.start, self.end = [], []
-        self.start_parts += [bounds[:-1], self.start]
-        self.end_parts += [bounds[1:], self.end]
-        self._repeat(len(bounds) - 1, fields)
-
-    def _repeat(self, count: int, fields: tuple) -> None:
+    def add(self, bounds, *fields) -> None:
+        if len(bounds) == 2:
+            self.start.append(bounds[0])
+            self.end.append(bounds[1])
+        else:
+            self.start, self.end = [], []
+            self.start_parts += [bounds[:-1], self.start]
+            self.end_parts += [bounds[1:], self.end]
         for values, value in zip(self.fields, fields):
             values.append(value)
-        self.counts.append(count)
+        self.counts.append(len(bounds) - 1)
 
     def table(self) -> StepTable:
         kinds, *ints = self.fields
@@ -377,17 +374,20 @@ def _price_step(kind: str, items, cfg: ModelConfig, coeffs: CoefficientPair) -> 
     return max(0.0, ms) / 1000.0
 
 
-def _decode_span(kind: str, items, t: float, arrival_s: Optional[float],
-                 cfg: ModelConfig, coeffs: CoefficientPair) -> Optional[np.ndarray]:
-    """Float64 array of the boundaries [t, t_1, ..., t_n] of the decode-only
-    steps from t up to the next scheduler event, or None when the next step
-    is itself an event (it carries a prompt token or completes a sequence).
-    arrival_s is the next arrival, None when no request is still to arrive."""
+def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float],
+                 cfg: ModelConfig, coeffs: CoefficientPair):
+    """Boundaries (t, t_1, ..., t_n) of the next n >= 1 steps, which all carry
+    these items. A step that carries a prompt token runs alone, as a Python
+    (t, t_1) pair. Decode-only steps run up to and including the step that
+    completes a sequence, as a float64 array, cut before the first step that
+    starts at or after arrival_s, the next arrival (None when no request is
+    still to arrive)."""
     if kind == "prefill" or any(seq.remaining_prompt for seq, _, _ in items):
-        return None
-    n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output) - 1
-    if n < 1:
-        return None
+        n = 1
+    else:
+        n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output)
+    if n == 1:
+        return t, t + _price_step(kind, items, cfg, coeffs)
     if kind == "decode":
         s_past = max(map(_S_PAST, items))
         ms = predict_at(coeffs.decode, cfg, len(items),
@@ -473,9 +473,8 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
 
     Each pass of the loop pulls arrivals, admits queued requests in FIFO
     order up to the policy's limit and the KV capacity, asks the policy for
-    the step's work items, and either advances a decode span to the next
-    event or prices one step and applies its tokens, first tokens and
-    completions.
+    the step's work items, prices the run of steps that carry those items up
+    to the next event, and applies its tokens, first tokens and completions.
     """
     if not isinstance(coeffs, CoefficientPair):
         raise MissingCoefficientError(
@@ -511,26 +510,14 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
         if not items:
             t = max(t, arrival_s)
             continue
-        bounds = _decode_span(kind, items, t, arrival_s, cfg, coeffs)
-        if bounds is not None:
-            n = len(bounds) - 1
-            generating = 0
-            for seq, _, _ in items:
-                seq.s_past += n
-                if seq.remaining_output:
-                    seq.remaining_output -= n
-                    generating += 1
-            generated_tokens += n * generating
-            steps.span(bounds, kind, len(items), len(items), generating, reserved)
-            t = float(bounds[-1])
-            continue
-        start = t
-        t += _price_step(kind, items, cfg, coeffs)
+        bounds = _step_bounds(kind, items, t, arrival_s, cfg, coeffs)
+        n = len(bounds) - 1  # > 1 only for one-token decodes
+        t = float(bounds[-1])
 
         tokens = generated = 0
         finished: list[_Seq] = []
         for seq, new_tokens, _ in items:
-            seq.s_past += new_tokens
+            seq.s_past += n * new_tokens
             tokens += new_tokens
             if seq.remaining_prompt:
                 seq.remaining_prompt -= new_tokens
@@ -539,12 +526,12 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
                 seq.first_token_s = t
             elif not seq.remaining_output:
                 continue  # padding in a static batch
-            seq.remaining_output -= 1
+            seq.remaining_output -= n
             generated += 1
             if not seq.remaining_output:
                 finished.append(seq)
-        generated_tokens += generated
-        steps.step(start, t, kind, len(items), tokens, generated, reserved)
+        generated_tokens += n * generated
+        steps.add(bounds, kind, len(items), tokens, generated, reserved)
         if not finished:
             continue
         for seq in finished:
@@ -615,26 +602,15 @@ METRICS_CSV_HEADER = ["policy", "rate", "token_throughput", "seq_throughput",
                       "completed"]
 
 
-def write_metrics_csv(rows, out) -> None:
-    """rows: iterable of (policy_label, rate, ServingMetrics). Full precision."""
-    own = isinstance(out, (str, Path))
-    fh = open(out, "w", newline="", encoding="utf-8") if own else out
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        for label, rate, m in rows:
-            writer.writerow([label, repr(float(rate)), repr(m.token_throughput),
-                             repr(m.seq_throughput), repr(m.mean_token_latency_s),
-                             repr(m.p50_latency_s), repr(m.p95_latency_s),
-                             m.completed])
-    finally:
-        if own:
-            fh.close()
-
-
 def metrics_csv_text(rows) -> str:
+    """rows: iterable of (policy_label, rate, ServingMetrics). Full precision."""
     buf = io.StringIO()
-    write_metrics_csv(rows, buf)
+    writer = csv.writer(buf)
+    writer.writerow(METRICS_CSV_HEADER)
+    for label, rate, m in rows:
+        writer.writerow([label, repr(float(rate)), repr(m.token_throughput),
+                         repr(m.seq_throughput), repr(m.mean_token_latency_s),
+                         repr(m.p50_latency_s), repr(m.p95_latency_s), m.completed])
     return buf.getvalue()
 
 
@@ -643,5 +619,5 @@ __all__ = [
     "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
     "ServingMetrics", "RunResult", "CapacityError", "MissingCoefficientError",
     "run", "trim_warmup", "sweep_rates", "compute_metrics", "describe_policy",
-    "write_metrics_csv", "metrics_csv_text", "METRICS_CSV_HEADER",
+    "metrics_csv_text", "METRICS_CSV_HEADER",
 ]

@@ -25,7 +25,6 @@ from infercost.estimator import (
     fit,
     fit_design,
     load_timing_samples,
-    predict,
     predict_at,
 )
 from infercost.hardware import HARDWARE_PRESETS, BoundKind, classify, ridge_point
@@ -148,9 +147,8 @@ def _recovery_error(coeffs: RegressionCoefficients) -> float:
     for cfg in RECOVERY_CONFIGS:
         for b in (1, 3, 8):
             for s in (17, 256, 1200):
-                feats = features_for(cfg, b, s, coeffs.phase)
-                X.append(feats)
-                y.append(predict(coeffs, feats))
+                X.append(features_for(cfg, b, s, coeffs.phase))
+                y.append(predict_at(coeffs, cfg, b, s))
     solution, rank, _ = fit_design(np.array(X), np.array(y))
     assert rank == len(coeffs.values)
     true = np.array(coeffs.values)

@@ -25,7 +25,6 @@ from infercost.estimator import (
     fit_design,
     load_coefficients,
     load_timing_samples,
-    predict,
     predict_at,
     prefill_features,
     save_coefficients,
@@ -77,16 +76,6 @@ class TestFeatures:
 
 
 class TestPredict:
-    def test_dot_product(self):
-        coeffs = RegressionCoefficients(Phase.DECODE, (2.0, 3.0, 5.0, 7.0))
-        assert predict(coeffs, (1.0, 1.0, 1.0, 1.0)) == 17.0
-        assert predict(coeffs, (0.5, 0.0, 0.0, 2.0)) == 15.0
-
-    def test_wrong_length_features(self):
-        coeffs = RegressionCoefficients(Phase.DECODE, (1.0, 1.0, 1.0, 1.0))
-        with pytest.raises(DimensionMismatchError, match="expect"):
-            predict(coeffs, (1.0, 2.0))
-
     def test_wrong_length_coefficients(self):
         with pytest.raises(DimensionMismatchError, match="6 values"):
             RegressionCoefficients(Phase.PREFILL, (1.0, 2.0))
@@ -134,9 +123,8 @@ def _synthetic_design(phase, true_values):
     X, y = [], []
     for cfg in RECOVERY_CONFIGS:
         for b, s in RECOVERY_POINTS:
-            feats = features_for(cfg, b, s, phase)
-            X.append(feats)
-            y.append(predict(coeffs, feats))
+            X.append(features_for(cfg, b, s, phase))
+            y.append(predict_at(coeffs, cfg, b, s))
     return np.array(X), np.array(y)
 
 

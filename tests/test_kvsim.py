@@ -104,9 +104,9 @@ class TestCacheStepBytes:
         assert cache_step_bytes(Paged(16), LLAMA7B, 8, 511) == 2 * 2 * 2 * 4096 * 32 * 8
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="b >= 1"):
+        with pytest.raises(ValueError, match="b must be >= 1"):
             cache_step_bytes(Paged(16), UNIT, 0, 1)
-        with pytest.raises(ValueError, match="s_past >= 0"):
+        with pytest.raises(ValueError, match="s_past must be >= 0"):
             cache_step_bytes(Paged(16), UNIT, 1, -1)
         with pytest.raises(TypeError, match="unknown cache layout"):
             cache_step_bytes(None, UNIT, 1, 1)
@@ -218,6 +218,8 @@ NON_INTEGER_COUNTS = {
     "kv_cache_bytes-bool-s": lambda: kv_cache_bytes(LLAMA7B, 1, True),
     "cache_step_bytes-float-b": lambda: cache_step_bytes(Paged(), LLAMA7B, 1.5, 0),
     "cache_step_bytes-bool-s_past": lambda: cache_step_bytes(Paged(), LLAMA7B, 1, True),
+    "kv_cache_bytes-None-b": lambda: kv_cache_bytes(LLAMA7B, None, 1),
+    "cache_step_bytes-None-b": lambda: cache_step_bytes(Paged(), LLAMA7B, None, 0),
     "max_concurrency-float": lambda: max_concurrency(
         TokenGranular(), LLAMA7B, A800, 13_000_000_000, per_seq_len=2.5),
     "max_concurrency-bool": lambda: max_concurrency(
@@ -229,6 +231,8 @@ NON_INTEGER_COUNTS = {
         TokenGranular(), LLAMA7B, A800, True, 2048),
     "KvCapacity-float": lambda: KvCapacity(Paged(16), 2.5e9),
     "KvCapacity-bool": lambda: KvCapacity(Paged(16), True),
+    "CacheStats-float": lambda: CacheStats(2.5, 1.5, 1.0),
+    "CacheStats-bool": lambda: CacheStats(True, True, 0),
 }
 
 

@@ -40,7 +40,6 @@ from infercost.servesim import (
     run,
     sweep_rates,
     trim_warmup,
-    write_metrics_csv,
 )
 
 TINY = ModelConfig(4, 8, 2, 2, 1)  # h*l = 4; KV cache is 16 B/token
@@ -463,14 +462,6 @@ class TestMetricsCsv:
         assert float(rows[1][3]) == 1 / 3
         assert int(rows[1][7]) == 42
 
-    def test_write_to_path(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv([("splitfuse(token_budget=512)", 1.0, EMPTY_METRICS)], path)
-        text = path.read_bytes().decode()  # keep csv's \r\n intact
-        assert text.splitlines()[0] == ",".join(METRICS_CSV_HEADER)
-        assert metrics_csv_text(
-            [("splitfuse(token_budget=512)", 1.0, EMPTY_METRICS)]) == text
-
 
 POLICIES = [Static(3), Continuous(max_seqs=3), SplitFuse(6)]
 
@@ -505,13 +496,13 @@ class TestInvariantsAcrossPolicies:
         span_steps = []
 
         def spy(*args):
-            bounds = decode_span(*args)
-            if bounds is not None:
+            bounds = step_bounds(*args)
+            if len(bounds) > 2:
                 span_steps.append(len(bounds) - 1)
             return bounds
 
-        decode_span = servesim._decode_span
-        monkeypatch.setattr(servesim, "_decode_span", spy)
+        step_bounds = servesim._step_bounds
+        monkeypatch.setattr(servesim, "_step_bounds", spy)
         trace = [req(0, 2, 6), req(1, 3, 4), req(2, 1, 5, at=0.5)]
         steps = run(policy, trace, TINY, ORACLE).steps
         assert 0 < sum(span_steps) < len(steps)

@@ -1,9 +1,10 @@
 """`run` against a step-by-step reference engine.
 
 `reference_run` is the engine loop without decode spans: it prices and
-applies every step on its own. `run` advances stretches of decode-only steps
-in one vectorised span and must still produce exactly the same RunResult -
-every float bit-identical, no tolerance.
+applies every step on its own. `run` advances stretches of decode-only steps,
+up to and including the step that completes a sequence, in one vectorised
+span and must still produce exactly the same RunResult - every float
+bit-identical, no tolerance.
 """
 
 import math
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_servesim import ANY_POLICY, ORACLE, TINY, req, traces_under_capacity
 
+from infercost import servesim
 from infercost.arch import MODEL_PRESETS, Phase
 from infercost.costmodel import kv_cache_bytes
-from infercost.estimator import RegressionCoefficients, fit, load_timing_samples
+from infercost.estimator import RegressionCoefficients, fit, load_timing_samples, predict_at
 from infercost.hardware import HARDWARE_PRESETS
 from infercost.kvsim import Paged
 from infercost.servesim import (
@@ -176,6 +178,22 @@ def test_decode_16k_shape_equals_reference():
     for policy in (Static(4), Continuous(max_seqs=4), SplitFuse(4)):
         assert run(policy, trace, cfg, coeffs, capacity) == \
             reference_run(policy, trace, cfg, coeffs, capacity)
+
+
+def test_a_span_runs_through_the_step_that_completes_a_sequence(monkeypatch):
+    # One prefill, then all 8,999 decode steps in one span that ends with the
+    # completion: two model evaluations, not a third for the last step.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return predict_at(*args)
+
+    monkeypatch.setattr(servesim, "predict_at", spy)
+    trace = [req(0, 1, 9000)]
+    result = run(Continuous(max_seqs=1), trace, TINY, ORACLE)
+    assert len(calls) == 2
+    assert result == reference_run(Continuous(max_seqs=1), trace, TINY, ORACLE)
 
 
 def test_arrival_on_a_step_boundary_is_admitted_at_that_boundary():
