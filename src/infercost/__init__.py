@@ -22,7 +22,6 @@ from .arch import (
     NonPositiveFieldError,
     Phase,
     load_model_config,
-    model_preset,
     resolve_model,
     validate_config,
 )
@@ -65,7 +64,6 @@ from .hardware import (
     HardwareSpec,
     attainable_flops,
     classify,
-    hardware_preset,
     load_hardware,
     lower_bound_time,
     resolve_hardware,
@@ -110,7 +108,7 @@ __all__ = [
     # arch
     "ModelConfig", "Phase", "ConfigError",
     "DimensionMismatchError", "NonPositiveFieldError", "validate_config",
-    "model_preset", "resolve_model", "load_model_config",
+    "resolve_model", "load_model_config",
     # costmodel
     "OpKind", "OpCost", "ModelCost", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
     "LINEAR_PROJECTIONS", "CacheLayout", "Vanilla", "Paged", "TokenGranular",
@@ -118,7 +116,7 @@ __all__ = [
     # hardware
     "HardwareSpec", "BoundKind", "HardwareError", "DegenerateCostError",
     "ridge_point", "classify", "attainable_flops", "lower_bound_time",
-    "hardware_preset", "resolve_hardware", "load_hardware",
+    "resolve_hardware", "load_hardware",
     # estimator
     "TimingSample", "RegressionCoefficients", "FitResult", "fit", "fit_design",
     "predict_at", "prefill_features", "decode_features",

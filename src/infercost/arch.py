@@ -103,14 +103,6 @@ MODEL_PRESETS: dict[str, ModelConfig] = {
 }
 
 
-def model_preset(name: str) -> ModelConfig:
-    try:
-        return MODEL_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(MODEL_PRESETS))
-        raise KeyError(f"unknown model preset {name!r}; known presets: {known}") from None
-
-
 _MODEL_JSON_KEYS = ("hidden_size", "intermediate_size", "num_heads", "head_dim",
                     "num_layers", "bytes_per_scalar")
 
@@ -147,6 +139,6 @@ def resolve_model(name_or_path: str | Path) -> ModelConfig:
 __all__ = [
     "ConfigError", "DimensionMismatchError", "NonPositiveFieldError",
     "Phase", "ModelConfig", "MODEL_PRESETS",
-    "model_preset", "model_config_from_dict", "load_model_config",
+    "model_config_from_dict", "load_model_config",
     "resolve_model", "validate_config",
 ]

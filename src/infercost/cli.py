@@ -19,10 +19,11 @@ environment state is consulted.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import costmodel, estimator, hardware, kvsim, servesim, workload
@@ -55,41 +56,18 @@ def paper_data_dir() -> Path:
 # Report tables
 
 
-@dataclass(frozen=True)
-class ReportTable:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.headers):
-                raise ValueError(
-                    f"row {row!r} has {len(row)} cells, header has {len(self.headers)}")
-
-    def to_markdown(self) -> str:
-        lines = [f"### {self.title}", ""]
-        lines.append("| " + " | ".join(self.headers) + " |")
-        lines.append("|" + "|".join(" --- " for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        import csv as _csv
-        import io
+def _render_table(title: str, headers, rows, fmt: str) -> str:
+    """A report table as markdown (under a `### title` heading) or as CSV."""
+    if fmt == "csv":
         buf = io.StringIO()
-        writer = _csv.writer(buf)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
+        writer = csv.writer(buf)
+        writer.writerow(headers)
+        writer.writerows(rows)
         return buf.getvalue()
-
-    def render(self, fmt: str) -> str:
-        if fmt == "markdown":
-            return self.to_markdown()
-        if fmt == "csv":
-            return self.to_csv()
-        raise ValueError(f"unknown format {fmt!r}")
+    lines = [f"### {title}", "", "| " + " | ".join(headers) + " |",
+             "|" + "|".join(" --- " for _ in headers) + "|"]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -202,13 +180,10 @@ def cmd_analyze(args) -> int:
         hardware.classify(total, hw).value,
         _f2(hardware.lower_bound_time(total, hw) * 1e3),
     ))
-    table = ReportTable(
-        title=(f"{phase.value} op costs: model={args.model} hw={hw.name} "
-               f"b={args.b} s={args.s} (per-layer rows)"),
-        headers=("Op", "GFLOPs", "MB moved", "AI (FLOP/B)", "Bound", "Min time (ms)"),
-        rows=tuple(rows),
-    )
-    _emit(table.render(args.format), args.out)
+    title = (f"{phase.value} op costs: model={args.model} hw={hw.name} "
+             f"b={args.b} s={args.s} (per-layer rows)")
+    headers = ("Op", "GFLOPs", "MB moved", "AI (FLOP/B)", "Bound", "Min time (ms)")
+    _emit(_render_table(title, headers, rows, args.format), args.out)
     return 0
 
 
@@ -344,10 +319,8 @@ def cmd_memory(args) -> int:
         per_seq = args.per_seq_len if args.per_seq_len is not None else args.s
         limit = kvsim.max_concurrency(layout, cfg, hw, args.weight_bytes, per_seq)
         rows.append((f"max concurrent seqs of {per_seq} tokens on {hw.name}", str(limit)))
-    table = ReportTable(
-        title=f"KV-cache plan: model={args.model} layout={args.layout}",
-        headers=("Quantity", "Value"), rows=tuple(rows))
-    _emit(table.render(args.format), args.out)
+    title = f"KV-cache plan: model={args.model} layout={args.layout}"
+    _emit(_render_table(title, ("Quantity", "Value"), rows, args.format), args.out)
     return 0
 
 

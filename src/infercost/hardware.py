@@ -100,14 +100,6 @@ HARDWARE_PRESETS: dict[str, HardwareSpec] = {
 }
 
 
-def hardware_preset(name: str) -> HardwareSpec:
-    try:
-        return HARDWARE_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(HARDWARE_PRESETS))
-        raise KeyError(f"unknown hardware preset {name!r}; known presets: {known}") from None
-
-
 _HW_JSON_KEYS = ("name", "memory_gb", "bandwidth_gb_per_s", "bf16_tflops")
 
 
@@ -158,7 +150,7 @@ def resolve_hardware(name_or_path: str | Path) -> HardwareSpec:
 
 __all__ = [
     "BoundKind", "HardwareSpec", "HardwareError", "DegenerateCostError",
-    "HARDWARE_PRESETS", "hardware_preset", "ridge_point", "classify",
+    "HARDWARE_PRESETS", "ridge_point", "classify",
     "attainable_flops", "lower_bound_time", "hardware_from_dict",
     "load_hardware", "resolve_hardware",
 ]

@@ -25,7 +25,8 @@ whether finished sequences vacate:
                decode token per decoding sequence, the rest of the budget
                filled with prompt chunks split off pending prefills (FIFO).
 
-One function prices every step from its kind and items:
+One function, _step_bounds, prices every run of steps from its kind and
+items:
 
   prefill -> prefill model at (len(items), max new_tokens)
   decode  -> decode model at (len(items), max s_past)
@@ -363,21 +364,11 @@ def compute_metrics(records) -> ServingMetrics:
 _NEW_TOKENS, _S_PAST = itemgetter(1), itemgetter(2)  # fields of a step item
 
 
-def _price_step(kind: str, items, cfg: ModelConfig, coeffs: CoefficientPair) -> float:
-    """Seconds one step takes; items are (sequence, new_tokens, s_past) tuples."""
-    if kind == "prefill":
-        ms = predict_at(coeffs.prefill, cfg, len(items), max(map(_NEW_TOKENS, items)))
-    elif kind == "decode":
-        ms = predict_at(coeffs.decode, cfg, len(items), max(map(_S_PAST, items)))
-    else:
-        ms = predict_at(coeffs.prefill, cfg, 1, sum(map(_NEW_TOKENS, items)))
-    return max(0.0, ms) / 1000.0
-
-
 def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float],
                  cfg: ModelConfig, coeffs: CoefficientPair):
     """Boundaries (t, t_1, ..., t_n) of the next n >= 1 steps, which all carry
-    these items. A step that carries a prompt token runs alone, as a Python
+    these (sequence, new_tokens, s_past) items; the one place a step is
+    priced. A step that carries a prompt token runs alone, as a Python
     (t, t_1) pair. Decode-only steps run up to and including the step that
     completes a sequence, as a float64 array, cut before the first step that
     starts at or after arrival_s, the next arrival (None when no request is
@@ -386,15 +377,19 @@ def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float],
         n = 1
     else:
         n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output)
+    if kind == "prefill":
+        model, b, s = coeffs.prefill, len(items), max(map(_NEW_TOKENS, items))
+    elif kind == "decode":
+        model, b, s = coeffs.decode, len(items), max(map(_S_PAST, items))
+    else:
+        model, b, s = coeffs.prefill, 1, sum(map(_NEW_TOKENS, items))
     if n == 1:
-        return t, t + _price_step(kind, items, cfg, coeffs)
-    if kind == "decode":
-        s_past = max(map(_S_PAST, items))
-        ms = predict_at(coeffs.decode, cfg, len(items),
-                        np.arange(s_past, s_past + n, dtype=np.int64))
+        return t, t + max(0.0, predict_at(model, cfg, b, s)) / 1000.0
+    if kind == "decode":  # s_past grows by one per step
+        ms = predict_at(model, cfg, b, np.arange(s, s + n, dtype=np.int64))
         durations = np.where(ms > 0.0, ms, 0.0) / 1000.0  # max(0.0, ms) per step
-    else:  # a mixed step of decode tokens only is priced by its token count
-        durations = np.full(n, _price_step(kind, items, cfg, coeffs))
+    else:  # a mixed step of decode tokens only: the same token count each step
+        durations = np.full(n, max(0.0, predict_at(model, cfg, b, s)) / 1000.0)
     bounds = np.cumsum(np.concatenate(([t], durations)))
     if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
         n = int(np.searchsorted(bounds[:n], arrival_s))
@@ -559,6 +554,7 @@ _WARMUP_TRIM = 100  # completions trim_warmup drops at each end by default
 
 def trim_warmup(records, n: int = _WARMUP_TRIM) -> list[RequestRecord]:
     """Drop the first and last n completions; empty when 2n or fewer exist."""
+    _require_nonnegative("n", n)
     ordered = sorted(records, key=lambda r: (r.completion_s, r.id))
     return ordered[n:len(ordered) - n]
 

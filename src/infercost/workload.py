@@ -24,6 +24,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from .arch import _require_nonnegative
 from .servesim import Request
 
 
@@ -46,8 +47,7 @@ SCENARIO_BOUNDS: dict[Scenario, tuple[int, int, int, int]] = {
 def generate(scenario: Scenario | str, n: int, seed: int = 0) -> list[Request]:
     """Draw n requests for the scenario; deterministic per seed."""
     scenario = Scenario(scenario)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_nonnegative("n", n)
     in_lo, in_hi, out_lo, out_hi = SCENARIO_BOUNDS[scenario]
     rng = np.random.default_rng(seed)
     inputs = rng.integers(in_lo, in_hi, size=n, endpoint=True)

@@ -16,7 +16,6 @@ from infercost.arch import (
     Phase,
     load_model_config,
     model_config_from_dict,
-    model_preset,
     resolve_model,
     validate_config,
 )
@@ -76,21 +75,17 @@ class TestModelConfig:
 
 class TestPresets:
     def test_llama2_7b_dimensions(self):
-        cfg = model_preset("llama2-7b")
+        cfg = resolve_model("llama2-7b")
         assert dims(cfg) == (4096, 11008, 32, 128, 32)
         assert cfg.bytes_per_scalar == 2
 
     def test_llama2_13b_dimensions(self):
-        cfg = model_preset("llama2-13b")
+        cfg = resolve_model("llama2-13b")
         assert dims(cfg) == (5120, 13824, 40, 128, 40)
 
     def test_all_presets_validate(self):
         for cfg in MODEL_PRESETS.values():
             assert validate_config(cfg) is cfg
-
-    def test_unknown_preset_lists_known_names(self):
-        with pytest.raises(KeyError, match="llama2-7b"):
-            model_preset("gpt-5")
 
 
 class TestJsonRoundTrip:
@@ -134,7 +129,8 @@ class TestResolveModel:
         assert resolve_model(path) == cfg
 
     def test_neither_preset_nor_file(self):
-        with pytest.raises(ConfigError, match="neither a preset"):
+        # The message lists the known presets.
+        with pytest.raises(ConfigError, match=r"neither a preset \(llama2-13b, llama2-7b\)"):
             resolve_model("no-such-model")
 
 

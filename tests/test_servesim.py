@@ -395,6 +395,15 @@ class TestTrimWarmup:
         records = [RequestRecord(i, 0.0, 0.0, float(i), 1, 1) for i in range(201)]
         assert [r.id for r in trim_warmup(records)] == [100]
 
+    @pytest.mark.parametrize("n,message", [(-1, "n must be >= 0"),
+                                           (True, "n must be an integer"),
+                                           (2.5, "n must be an integer")], ids=repr)
+    def test_n_must_be_a_count(self, n, message):
+        # Unchecked, -1 kept only the last record and True trimmed one per end.
+        records = [RequestRecord(i, 0.0, 0.0, float(i), 1, 1) for i in range(4)]
+        with pytest.raises(ValueError, match=message):
+            trim_warmup(records, n)
+
 
 class TestSweepRates:
     def test_rates_must_be_positive(self):

@@ -1,7 +1,9 @@
 """`run` against a step-by-step reference engine.
 
 `reference_run` is the engine loop without decode spans: it prices and
-applies every step on its own. `run` advances stretches of decode-only steps,
+applies every step on its own. Its pricing, `_price`, is written from the
+table in the servesim docstring on top of `estimator.predict_at` and shares
+no code with the engine's. `run` advances stretches of decode-only steps,
 up to and including the step that completes a sequence, in one vectorised
 span and must still produce exactly the same RunResult - every float
 bit-identical, no tolerance.
@@ -33,7 +35,6 @@ from infercost.servesim import (
     Static,
     StepRecord,
     _admission_limit,
-    _price_step,
     _reservation,
     _Seq,
     _step_items,
@@ -67,6 +68,19 @@ COEFFICIENT_SETS = {
 }
 
 
+def _price(kind, items, cfg, coeffs) -> float:
+    """Seconds one step takes, from the table in the servesim docstring; a
+    negative prediction is a zero-length step."""
+    new_tokens = [new for _, new, _ in items]
+    if kind == "prefill":
+        ms = predict_at(coeffs.prefill, cfg, len(items), max(new_tokens))
+    elif kind == "decode":
+        ms = predict_at(coeffs.decode, cfg, len(items), max(s for _, _, s in items))
+    else:
+        ms = predict_at(coeffs.prefill, cfg, 1, sum(new_tokens))
+    return max(0.0, ms) / 1000.0
+
+
 def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
     """The engine loop one step at a time, with no decode spans."""
     pads = isinstance(policy, Static)
@@ -96,7 +110,7 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
             t = max(t, pending[next_arrival].req.arrival_time_s)
             continue
         start = t
-        t += _price_step(kind, items, cfg, coeffs)
+        t += _price(kind, items, cfg, coeffs)
 
         tokens = generated = 0
         finished = []

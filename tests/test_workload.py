@@ -69,6 +69,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="n must be >= 0"):
             generate(Scenario.SHORT_TO_SHORT, -1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, None], ids=repr)
+    def test_n_must_be_an_integer(self, n):
+        # A float, a bool or None is not a count, even where numpy would take it.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            generate("short-to-short", n)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
