@@ -138,7 +138,5 @@ def resolve_model(name_or_path: str | Path) -> ModelConfig:
 
 __all__ = [
     "ConfigError", "DimensionMismatchError", "NonPositiveFieldError",
-    "Phase", "ModelConfig", "MODEL_PRESETS",
-    "model_config_from_dict", "load_model_config",
-    "resolve_model", "validate_config",
+    "Phase", "ModelConfig", "load_model_config", "resolve_model", "validate_config",
 ]

@@ -446,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_memory)
 
     p = sub.add_parser("workload", help="generate a synthetic request trace")
-    p.add_argument("action", nargs="?", choices=["gen"], default="gen",
-                   help="workload action (default and only action: gen)")
     p.add_argument("--scenario", required=True,
                    choices=[sc.value for sc in workload.Scenario])
     p.add_argument("--n", type=int, default=80, help="number of requests")

@@ -111,7 +111,7 @@ class OpCost:
 
 
 # KV-cache layouts. They are defined here because decode_op_costs dispatches
-# on them; kvsim re-exports them next to its allocation math.
+# on them; kvsim imports them for its allocation math.
 
 @dataclass(frozen=True)
 class Vanilla:
@@ -250,6 +250,6 @@ def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
 __all__ = [
     "OpKind", "OpCost", "ModelCost", "CacheLayout", "Vanilla", "Paged",
     "TokenGranular", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
-    "LINEAR_PROJECTIONS", "cache_update_mops", "prefill_op_costs",
-    "decode_op_costs", "aggregate", "kv_cache_bytes",
+    "LINEAR_PROJECTIONS", "prefill_op_costs", "decode_op_costs", "aggregate",
+    "kv_cache_bytes",
 ]

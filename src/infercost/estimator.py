@@ -38,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import DimensionMismatchError, ModelConfig, Phase, _require_positive
+from .arch import (DimensionMismatchError, ModelConfig, Phase, _require_nonnegative,
+                   _require_positive)
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 _INT64_MAX = np.iinfo(np.int64).max
@@ -93,6 +94,7 @@ def coeff_names(phase: Phase) -> tuple[str, ...]:
 
 
 def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
+    _require_positive("b and s", b, s)
     h, hf, n, l = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads, cfg.num_layers
     return (float(b * s * h * h * l), float(b * s * h * hf * l),
             float(b * s * s * n * l), float(b * s * h * l),
@@ -106,10 +108,19 @@ def _exact_float(x):
 
 def decode_features(cfg: ModelConfig, b: int, s) -> tuple:
     """Decode features at context length s: an int, or an int64 array giving
-    one float64 array per s-dependent feature."""
+    one float64 array per s-dependent feature. s = 0 is an empty cache."""
     h, n, l = cfg.hidden_size, cfg.num_heads, cfg.num_layers
-    if isinstance(s, np.ndarray) and s.size and b * int(s.max()) * max(h, n) * l > _INT64_MAX:
-        raise OverflowError("decode features overflow int64 at this s")
+    _require_positive("b", b)
+    if not isinstance(s, np.ndarray):
+        _require_nonnegative("s", s)
+    elif s.dtype != np.int64:
+        raise ValueError(f"an s array must be int64, got {s.dtype}")
+    elif s.size:
+        top = int(s.view(np.uint64).max())  # one pass: a negative s reads as >= 2**63
+        if top > _INT64_MAX:
+            raise ValueError(f"s must be >= 0, got {s.min()}")
+        if b * top * max(h, n) * l > _INT64_MAX:
+            raise OverflowError("decode features overflow int64 at this s")
     return (_exact_float(b * s * h * l), _exact_float(b * s * n * l), float(b * h * l), 1.0)
 
 
@@ -251,11 +262,8 @@ def save_coefficients(coeffs: RegressionCoefficients, path: str | Path) -> None:
 
 __all__ = [
     "TimingSample", "RegressionCoefficients", "FitResult",
-    "UnderdeterminedSystemError",
-    "PREFILL_COEFF_NAMES", "DECODE_COEFF_NAMES", "coeff_names",
+    "UnderdeterminedSystemError", "coeff_names",
     "prefill_features", "decode_features", "features_for",
     "predict_at", "fit", "fit_design",
-    "load_timing_samples",
-    "coefficients_to_dict", "coefficients_from_dict",
-    "load_coefficients", "save_coefficients",
+    "load_timing_samples", "load_coefficients", "save_coefficients",
 ]

@@ -150,7 +150,6 @@ def resolve_hardware(name_or_path: str | Path) -> HardwareSpec:
 
 __all__ = [
     "BoundKind", "HardwareSpec", "HardwareError", "DegenerateCostError",
-    "HARDWARE_PRESETS", "ridge_point", "classify",
-    "attainable_flops", "lower_bound_time", "hardware_from_dict",
+    "ridge_point", "classify", "attainable_flops", "lower_bound_time",
     "load_hardware", "resolve_hardware",
 ]

@@ -113,7 +113,6 @@ def max_concurrency(layout: CacheLayout, cfg: ModelConfig, hw: HardwareSpec,
 
 
 __all__ = [
-    "CacheLayout", "Vanilla", "Paged", "TokenGranular", "CacheStats",
-    "ReservedOverflowError", "allocated_tokens", "cache_step_bytes",
+    "CacheStats", "ReservedOverflowError", "allocated_tokens", "cache_step_bytes",
     "footprint", "max_concurrency",
 ]

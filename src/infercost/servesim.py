@@ -615,5 +615,5 @@ __all__ = [
     "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
     "ServingMetrics", "RunResult", "CapacityError", "MissingCoefficientError",
     "run", "trim_warmup", "sweep_rates", "compute_metrics", "describe_policy",
-    "metrics_csv_text", "METRICS_CSV_HEADER",
+    "metrics_csv_text",
 ]

@@ -111,4 +111,4 @@ def load_trace(path) -> list[Request]:
     return trace
 
 
-__all__ = ["Scenario", "SCENARIO_BOUNDS", "generate", "save_trace", "load_trace"]
+__all__ = ["Scenario", "generate", "save_trace", "load_trace"]

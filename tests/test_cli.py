@@ -215,6 +215,14 @@ class TestFitPredict:
         assert "coefficients are for prefill (6 terms)" in err
         assert "4-term model" in err
 
+    def test_predict_rejects_a_negative_batch(self, capsys, coeff_files):
+        _, decode_json = coeff_files
+        code, out, err = run_cli(capsys, "predict", "--model", "llama2-7b",
+                                 "--coefficients", decode_json, "--b", "-4", "--s", "512")
+        assert code == 2
+        assert out == ""
+        assert err == "error: b must be >= 1, got -4\n"
+
     def test_predict_published_decode_point(self, capsys, coeff_files):
         _, decode_json = coeff_files
         code, out, _ = run_cli(capsys, "predict", "--model", "llama2-7b",
@@ -271,12 +279,6 @@ class TestWorkloadCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
-
-    def test_gen_action_word_is_equivalent(self, capsys):
-        flags = ("--scenario", "short-16k", "--n", "4", "--seed", "9")
-        _, explicit, _ = run_cli(capsys, "workload", "gen", *flags)
-        _, implicit, _ = run_cli(capsys, "workload", *flags)
-        assert explicit == implicit
 
     def test_unknown_action_word_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -100,6 +100,33 @@ class TestPredict:
         with pytest.raises(OverflowError, match="int64"):
             decode_features(LLAMA7B, 8, np.array([1, 2**45], dtype=np.int64))
 
+    @pytest.mark.parametrize("phase", list(Phase))
+    @pytest.mark.parametrize("b, s", [(0, 512), (-4, 512), (2.5, 10), (True, 3), (None, 3),
+                                      (8, -1), (8, 2.0), (8, True)])
+    def test_counts_without_meaning_are_rejected(self, phase, b, s):
+        coeffs = RegressionCoefficients(phase, (1.0,) * len(coeff_names(phase)))
+        with pytest.raises(ValueError, match=r"^[bs]"):
+            predict_at(coeffs, LLAMA7B, b, s)
+
+    def test_prefill_needs_a_prompt_token(self):
+        with pytest.raises(ValueError, match="b and s must be >= 1, got 0"):
+            prefill_features(LLAMA7B, 8, 0)
+
+    def test_decode_over_an_empty_cache_is_priced(self):
+        coeffs = RegressionCoefficients(Phase.DECODE, (2.23e-9, 1.75e-11, 1.63e-8, 11.2))
+        assert predict_at(coeffs, LLAMA7B, 1, 0) == 1.63e-8 * 4096 * 32 + 11.2
+        assert predict_at(coeffs, LLAMA7B, 1, np.zeros(2, dtype=np.int64)).tolist() == [
+            predict_at(coeffs, LLAMA7B, 1, 0)] * 2
+
+    @pytest.mark.parametrize("s, match", [
+        (np.array([1, -1], dtype=np.int64), "s must be >= 0, got -1"),
+        (np.array([1, 2], dtype=np.int32), "must be int64, got int32"),
+        (np.array([1.0, 2.0]), "must be int64, got float64"),
+    ])
+    def test_decode_s_array_must_be_nonnegative_int64(self, s, match):
+        with pytest.raises(ValueError, match=match):
+            decode_features(LLAMA7B, 8, s)
+
 
 FINITE = st.floats(-1e3, 1e3)
 

@@ -1,0 +1,70 @@
+"""README.md runs as written.
+
+Every `infercost ...` line of the README's bash blocks (continuation lines
+joined) runs through `cli.main`, and every python block runs with `exec`, in
+one temporary directory that links `paper-data/`. The commands run first,
+because `fit` writes the `prefill.json` and `decode.json` that the serving
+example loads. A renamed export, flag or subcommand in the code then fails
+here instead of going stale in the docs.
+"""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from infercost.cli import PAPER_DATA_ENV, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCK = re.compile(r"^```(\w+)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+BLOCKS = BLOCK.findall(README.read_text(encoding="utf-8"))
+
+
+def _commands(script: str) -> list[str]:
+    lines = re.sub(r"\\\n\s*", "", script).splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("infercost ")]
+
+
+COMMANDS = [cmd for lang, body in BLOCKS if lang == "bash" for cmd in _commands(body)]
+PYTHON_BLOCKS = [body for lang, body in BLOCKS if lang == "python"]
+
+
+def test_readme_has_examples():
+    assert COMMANDS and PYTHON_BLOCKS
+
+
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory, paper_data):
+    """Run the README's commands in order; the exit code and stderr of each."""
+    workdir = tmp_path_factory.mktemp("readme")
+    (workdir / "paper-data").symlink_to(paper_data, target_is_directory=True)
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        mp.delenv(PAPER_DATA_ENV, raising=False)
+        for cmd in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(shlex.split(cmd)[1:])
+                except SystemExit as exc:  # argparse rejected the command line
+                    code = exc.code
+            results[cmd] = code, err.getvalue()
+    return workdir, results
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_command_exits_zero(readme_dir, cmd):
+    _, results = readme_dir
+    assert results[cmd] == (0, "")
+
+
+@pytest.mark.parametrize("index", range(len(PYTHON_BLOCKS)))
+def test_python_block_runs(readme_dir, monkeypatch, capsys, index):
+    workdir, _ = readme_dir
+    monkeypatch.chdir(workdir)
+    exec(compile(PYTHON_BLOCKS[index], f"README.md python block {index + 1}", "exec"), {})
+    assert capsys.readouterr().out
