@@ -367,7 +367,7 @@ def cmd_simulate(args) -> int:
 
     label = servesim.describe_policy(policy)
     if args.rates:
-        rates = [float(tok) for tok in args.rates.split(",")]
+        rates = [estimator._plain_number("rates", tok) for tok in args.rates.split(",")]
         swept = servesim.sweep_rates(policy, trace, rates, cfg, coeffs,
                                      capacity=capacity, seed=args.seed,
                                      arrival_process=args.arrival_process)

@@ -9,11 +9,21 @@ features with fitted coefficients:
   decode:  (b*s*h*l, b*s*n*l, b*h*l, 1)
            named (phi, psi, omega, nu)
 
-A prediction adds the coefficient-feature products left to right. The decode
-model also takes an int64 array of context lengths s and then returns one
-prediction per entry, each bit-identical to the scalar call at that s: the
-integer products are exact either way, int64 -> float64 rounds like float(),
-and the element-wise adds follow the same order.
+Each feature is an exact integer, b*s (or b) times a per-config integer
+factor such as h^2*l, rounded once to float64. A prediction adds the
+coefficient-feature products left to right. The decode model also takes an
+int64 array of context lengths s and then returns one prediction per entry,
+each bit-identical to the scalar call at that s: the integer products are
+exact either way, int64 -> float64 rounds like float(), and the element-wise
+adds follow the same order.
+
+A serving run prices many steps with one (coeffs, cfg). _step_time builds
+that model once, with the factors precomputed and no input checks per call;
+the caller checks once, with _require_exact, the largest counts it will pass.
+Its decode model multiplies float64 context lengths by float(b*h*l) and
+float(b*n*l). While both factors are integers that float64 holds exactly, IEEE
+rounds the product like float() rounds the exact integer, so every price is
+bit-identical to predict_at's.
 
 The intercept absorbs per-step fixed overhead (kernel launches, scheduler);
 it may be negative (unconstrained OLS), so predictions for tiny workloads can
@@ -43,6 +53,7 @@ from .arch import (DimensionMismatchError, ModelConfig, Phase, _require_nonnegat
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 _INT64_MAX = np.iinfo(np.int64).max
+_FLOAT64_EXACT = 2 ** 53  # float64 holds every integer up to this magnitude
 
 PREFILL_COEFF_NAMES: tuple[str, ...] = ("alpha", "beta", "gamma", "eta", "lambda", "mu")
 DECODE_COEFF_NAMES: tuple[str, ...] = ("phi", "psi", "omega", "nu")
@@ -93,12 +104,31 @@ def coeff_names(phase: Phase) -> tuple[str, ...]:
     return PREFILL_COEFF_NAMES if phase is Phase.PREFILL else DECODE_COEFF_NAMES
 
 
+def _prefill_factors(cfg: ModelConfig) -> tuple[int, ...]:
+    h, hf, n, l = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads, cfg.num_layers
+    return h * h * l, h * hf * l, n * l, h * l, hf * l
+
+
+def _prefill_terms(factors: tuple[int, ...], b: int, s: int) -> tuple[int, ...]:
+    """The prefill features as exact integers, from _prefill_factors."""
+    hhl, hhfl, nl, hl, hfl = factors
+    bs = b * s
+    return bs * hhl, bs * hhfl, bs * s * nl, bs * hl, bs * hfl, 1
+
+
+def _decode_factors(cfg: ModelConfig) -> tuple[int, int]:
+    return cfg.hidden_size * cfg.num_layers, cfg.num_heads * cfg.num_layers
+
+
+def _decode_terms(s, bhl, bnl) -> tuple:
+    """The decode features from s, b*h*l and b*n*l: exact integers from
+    integers, float64 from floats of exact integers."""
+    return s * bhl, s * bnl, bhl, 1
+
+
 def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
     _require_positive("b and s", b, s)
-    h, hf, n, l = cfg.hidden_size, cfg.intermediate_size, cfg.num_heads, cfg.num_layers
-    return (float(b * s * h * h * l), float(b * s * h * hf * l),
-            float(b * s * s * n * l), float(b * s * h * l),
-            float(b * s * hf * l), 1.0)
+    return tuple(map(float, _prefill_terms(_prefill_factors(cfg), b, s)))
 
 
 def _exact_float(x):
@@ -121,7 +151,9 @@ def decode_features(cfg: ModelConfig, b: int, s) -> tuple:
             raise ValueError(f"s must be >= 0, got {s.min()}")
         if b * top * max(h, n) * l > _INT64_MAX:
             raise OverflowError("decode features overflow int64 at this s")
-    return (_exact_float(b * s * h * l), _exact_float(b * s * n * l), float(b * h * l), 1.0)
+    hl, nl = _decode_factors(cfg)
+    to_float = _exact_float if isinstance(s, np.ndarray) else float
+    return tuple(map(to_float, _decode_terms(s, b * hl, b * nl)))
 
 
 def features_for(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[float, ...]:
@@ -144,6 +176,38 @@ def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int,
     """Predicted milliseconds at (b, s); a decode int64 s array gives an array."""
     total = _weighted_sum(coeffs.values, features_for(cfg, b, s, coeffs.phase))
     return total if isinstance(total, np.ndarray) else float(total)
+
+
+def _step_time(coeffs: RegressionCoefficients, cfg: ModelConfig):
+    """predict_at for one (coeffs, cfg), built once: a function of (b, s)
+    that runs no input check. b is an int >= 1. A prefill s is an int >= 1; a
+    decode s is an int >= 0 or a float64 array of such integers, and gives
+    an array. Counts must lie in the range _require_exact accepted for cfg."""
+    values = coeffs.values
+    if coeffs.phase is Phase.PREFILL:
+        factors = _prefill_factors(cfg)
+
+        def prefill(b: int, s: int) -> float:
+            # float * int rounds the int as float() does.
+            return _weighted_sum(values, _prefill_terms(factors, b, s))
+        return prefill
+    hl, nl = _decode_factors(cfg)
+
+    def decode(b: int, s):
+        return _weighted_sum(values, _decode_terms(s, float(b * hl), float(b * nl)))
+    return decode
+
+
+def _require_exact(cfg: ModelConfig, b_max: int, s_max: int) -> None:
+    """Fail unless _step_time's decode model is exact for every b <= b_max
+    and s <= s_max: s, b*h*l and b*n*l must be integers float64 holds."""
+    if s_max > _FLOAT64_EXACT:
+        raise OverflowError(f"context length s can reach {s_max}, above 2**53, "
+                            "the largest the step-time model prices exactly")
+    top = b_max * max(cfg.hidden_size, cfg.num_heads) * cfg.num_layers
+    if top > _FLOAT64_EXACT:
+        raise OverflowError(f"b*max(h, n)*l can reach {top}, above 2**53, "
+                            "the largest the step-time model prices exactly")
 
 
 @dataclass(frozen=True)
@@ -204,10 +268,10 @@ def _csv_count(name: str, text: str) -> int:
     return int(text)
 
 
-def _csv_ms(text: str) -> float:
-    # float() also takes "1_0.5" and " 10.5 "; inf and nan fail in TimingSample.
+def _plain_number(name: str, text: str) -> float:
+    # float() also takes "1_0.5" and " 10.5 "; callers reject inf and nan.
     if "_" in text or text != text.strip():
-        raise ValueError(f"time_ms must be a plain number, got {text!r}")
+        raise ValueError(f"{name} must be a plain number, got {text!r}")
     return float(text)
 
 
@@ -228,7 +292,8 @@ def load_timing_samples(path: str | Path) -> list[TimingSample]:
                     raise ValueError(f"expected {len(expected)} fields, got {len(row)}")
                 phase, b, s, time_ms = row
                 samples.append(TimingSample(Phase(phase), _csv_count("b", b),
-                                            _csv_count("s", s), _csv_ms(time_ms)))
+                                            _csv_count("s", s),
+                                            _plain_number("time_ms", time_ms)))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     return samples

@@ -32,6 +32,11 @@ items:
   decode  -> decode model at (len(items), max s_past)
   mixed   -> prefill model at (1, sum of new_tokens)
 
+Each run builds the fitted step-time model of each phase once, with its
+per-config factors precomputed, and checks once, before the first step, that
+the largest b and s it can reach are in the model's exact range; no step
+repeats those checks. Every price is bit-identical to estimator.predict_at.
+
 Decode spans: between two scheduler events a batch whose items are all
 one-token decodes keeps its sequences and its admission state, and each
 step's s_past grows by one. The engine advances such a stretch in one pass:
@@ -66,10 +71,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import operator
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -79,7 +85,7 @@ import numpy as np
 
 from .arch import ModelConfig, Phase, _require_nonnegative, _require_positive
 from .costmodel import kv_cache_bytes
-from .estimator import RegressionCoefficients, predict_at
+from .estimator import RegressionCoefficients, _require_exact, _step_time
 from .hardware import HardwareSpec
 from .kvsim import CacheLayout, ReservedOverflowError, _free_kv_bytes, allocated_tokens
 
@@ -364,32 +370,33 @@ def compute_metrics(records) -> ServingMetrics:
 _NEW_TOKENS, _S_PAST = itemgetter(1), itemgetter(2)  # fields of a step item
 
 
-def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float],
-                 cfg: ModelConfig, coeffs: CoefficientPair):
+def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float], prefill, decode):
     """Boundaries (t, t_1, ..., t_n) of the next n >= 1 steps, which all carry
     these (sequence, new_tokens, s_past) items; the one place a step is
-    priced. A step that carries a prompt token runs alone, as a Python
-    (t, t_1) pair. Decode-only steps run up to and including the step that
-    completes a sequence, as a float64 array, cut before the first step that
-    starts at or after arrival_s, the next arrival (None when no request is
-    still to arrive)."""
-    if kind == "prefill" or any(seq.remaining_prompt for seq, _, _ in items):
+    priced, by the run's prefill and decode step-time models. A step that
+    carries a prompt token runs alone, as a Python (t, t_1) pair. Decode-only
+    steps run up to and including the step that completes a sequence, as a
+    float64 array, cut before the first step that starts at or after
+    arrival_s, the next arrival (None when no request is still to arrive)."""
+    # Static and Continuous decode items never carry a prompt token.
+    if kind == "prefill" or (kind == "mixed" and any(seq.remaining_prompt
+                                                     for seq, _, _ in items)):
         n = 1
     else:
         n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output)
     if kind == "prefill":
-        model, b, s = coeffs.prefill, len(items), max(map(_NEW_TOKENS, items))
+        model, b, s = prefill, len(items), max(map(_NEW_TOKENS, items))
     elif kind == "decode":
-        model, b, s = coeffs.decode, len(items), max(map(_S_PAST, items))
+        model, b, s = decode, len(items), max(map(_S_PAST, items))
     else:
-        model, b, s = coeffs.prefill, 1, sum(map(_NEW_TOKENS, items))
+        model, b, s = prefill, 1, sum(map(_NEW_TOKENS, items))
     if n == 1:
-        return t, t + max(0.0, predict_at(model, cfg, b, s)) / 1000.0
+        return t, t + max(0.0, model(b, s)) / 1000.0
     if kind == "decode":  # s_past grows by one per step
-        ms = predict_at(model, cfg, b, np.arange(s, s + n, dtype=np.int64))
+        ms = model(b, np.arange(s, s + n, dtype=np.float64))
         durations = np.where(ms > 0.0, ms, 0.0) / 1000.0  # max(0.0, ms) per step
     else:  # a mixed step of decode tokens only: the same token count each step
-        durations = np.full(n, max(0.0, predict_at(model, cfg, b, s)) / 1000.0)
+        durations = np.full(n, max(0.0, model(b, s)) / 1000.0)
     bounds = np.cumsum(np.concatenate(([t], durations)))
     if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
         n = int(np.searchsorted(bounds[:n], arrival_s))
@@ -477,6 +484,12 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
     if not isinstance(policy, (Static, Continuous, SplitFuse)):
         raise TypeError(f"unknown policy: {policy!r}")
     pads = isinstance(policy, Static)  # finished sequences stay until the batch drains
+    if trace:
+        # A batch holds at most every request, and no s_past, padding's
+        # included, reaches the longest prompt plus the longest output.
+        s_max = max(r.input_len for r in trace) + max(r.output_len for r in trace)
+        _require_exact(cfg, len(trace), s_max)
+    prefill, decode = _step_time(coeffs.prefill, cfg), _step_time(coeffs.decode, cfg)
 
     per_token = kv_cache_bytes(cfg, 1, 1)
     pending = [_Seq(req, _reservation(req, per_token, capacity))
@@ -505,7 +518,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
         if not items:
             t = max(t, arrival_s)
             continue
-        bounds = _step_bounds(kind, items, t, arrival_s, cfg, coeffs)
+        bounds = _step_bounds(kind, items, t, arrival_s, prefill, decode)
         n = len(bounds) - 1  # > 1 only for one-token decodes
         t = float(bounds[-1])
 
@@ -570,8 +583,11 @@ def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
     share randomness and differ only in time scale. Rates must be finite,
     positive and distinct, since the result is keyed by rate.
     """
-    rates = [float(r) for r in rates]
+    rates = list(rates)
     for i, rate in enumerate(rates):
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ValueError(f"rates must be real numbers, got {rate!r}")
+        rates[i] = rate = float(rate)
         if not (math.isfinite(rate) and rate > 0):
             raise ValueError(f"rates must be finite and positive, got {rate!r}")
         if rate in rates[:i]:
@@ -586,8 +602,8 @@ def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
 
     out: dict[float, ServingMetrics] = {}
     for rate in rates:
-        trace = [replace(req, arrival_time_s=float(offset / rate))
-                 for req, offset in zip(base_trace, unit_offsets)]
+        trace = [Request(req.id, req.input_len, req.output_len, arrival_s)
+                 for req, arrival_s in zip(base_trace, (unit_offsets / rate).tolist())]
         result = run(policy, trace, cfg, coeffs, capacity=capacity)
         out[rate] = compute_metrics(trim_warmup(result.records))
     return out

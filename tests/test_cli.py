@@ -433,6 +433,21 @@ class TestSimulate:
         assert out == ""
         assert "rates must be finite and positive, got inf" in err
 
+    @pytest.mark.parametrize("rates", ["1_0,2", " 2", "2 ", "2, 8"])
+    def test_sweep_rejects_a_rate_float_would_coerce(self, capsys, coeff_files, rates):
+        # float() reads "1_0" as 10 and ignores surrounding blanks.
+        prefill_json, decode_json = coeff_files
+        code, out, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                                 "--prefill-coeffs", prefill_json,
+                                 "--decode-coeffs", decode_json,
+                                 "--policy", "continuous", "--max-seqs", "32",
+                                 "--scenario", "short-to-short", "--n", "4",
+                                 "--rates", rates)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rates must be a plain number, got ")
+        assert err.count("\n") == 1
+
 
 class TestParserErrors:
     def test_unknown_flag_exits_2(self, capsys):

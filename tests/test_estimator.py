@@ -16,6 +16,8 @@ from infercost.estimator import (
     RegressionCoefficients,
     TimingSample,
     UnderdeterminedSystemError,
+    _require_exact,
+    _step_time,
     coeff_names,
     coefficients_from_dict,
     coefficients_to_dict,
@@ -143,6 +145,36 @@ def test_decode_predict_at_array_equals_scalar_calls(values, cfg, b, s):
         got = predict_at(c, cfg, b, np.array(s, dtype=np.int64))
         assert got.dtype == np.float64
         assert got.tolist() == [predict_at(c, cfg, b, x) for x in s]
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.tuples(*[FINITE] * 6),
+       cfg=st.sampled_from([LLAMA7B, ModelConfig(4, 8, 2, 2, 1),
+                            ModelConfig(5120, 13824, 40, 128, 40)]),
+       b=st.integers(1, 256),
+       s=st.one_of(st.integers(0, 200_000), st.integers(2**40, 2**53 - 64)),
+       n=st.integers(1, 40))
+def test_step_time_equals_predict_at_bit_for_bit(values, cfg, b, s, n):
+    # The per-run model prices decode s in float64, scalar and span alike;
+    # near 2**53 the products round, and must round like predict_at's.
+    _require_exact(cfg, b, s + n)
+    for phase, exponents in ((Phase.PREFILL, (11, 11, 8, 7, 9, 0)),
+                             (Phase.DECODE, (9, 7, 6, 0))):
+        scaled = tuple(v * 10.0 ** -e for v, e in zip(values, exponents))
+        for c in (RegressionCoefficients(phase, values[:len(exponents)]),
+                  RegressionCoefficients(phase, scaled)):
+            model = _step_time(c, cfg)
+            point = max(s, 1) if phase is Phase.PREFILL else s
+            got = model(b, point)
+            assert type(got) is float
+            assert _bits([got]) == _bits([predict_at(c, cfg, b, point)])
+            if phase is Phase.DECODE:
+                span = model(b, np.arange(s, s + n, dtype=np.float64))
+                assert _bits(span) == _bits(predict_at(c, cfg, b, x) for x in range(s, s + n))
 
 
 def _synthetic_design(phase, true_values):

@@ -122,6 +122,24 @@ def test_counts_are_integers_of_at_least_one(name, value, message):
         COUNT_CONSTRUCTORS[name](value)
 
 
+class TestExactRange:
+    # The step-time model multiplies context lengths by b*h*l and b*n*l in
+    # float64, which is exact only for integers up to 2**53; run checks the
+    # largest values the trace can reach before the first step.
+    def test_context_length_past_2_to_53_fails_up_front(self, monkeypatch):
+        monkeypatch.setattr(servesim, "_step_bounds", None)  # no step may be priced
+        trace = [req(0, 2**52, 2**52 + 1), req(1, 1, 1)]
+        with pytest.raises(OverflowError, match=r"s can reach 9007199254740993, above 2\*\*"):
+            run(Continuous(max_seqs=2), trace, TINY, ORACLE)
+
+    def test_batch_width_past_2_to_53_fails_up_front(self, monkeypatch):
+        monkeypatch.setattr(servesim, "_step_bounds", None)
+        deep = ModelConfig(4, 8, 2, 2, 2**50)  # b*h*l = b * 2**52
+        trace = [req(i, 1, 1) for i in range(3)]
+        with pytest.raises(OverflowError, match=r"max\(h, n\)\*l can reach 13510798882111488"):
+            run(Continuous(max_seqs=1), trace, deep, ORACLE)
+
+
 class TestCoefficientPair:
     def test_phases_enforced(self):
         with pytest.raises(MissingCoefficientError, match="prefill slot"):
@@ -421,6 +439,13 @@ class TestSweepRates:
         # 2 and 2.0 are the same dict key: one of the two runs would be lost.
         with pytest.raises(ValueError, match=r"rate 2\.0 is repeated"):
             sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [2, 1.0, 2.0],
+                        TINY, ORACLE)
+
+    @pytest.mark.parametrize("bad", [True, "2", None])
+    def test_rates_must_be_real_numbers(self, bad):
+        # float() would sweep True at 1.0 and "2" at 2.0.
+        with pytest.raises(ValueError, match=f"rates must be real numbers, got {bad!r}"):
+            sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [1.0, bad],
                         TINY, ORACLE)
 
     def test_unknown_arrival_process(self):

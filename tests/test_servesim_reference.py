@@ -199,11 +199,16 @@ def test_a_span_runs_through_the_step_that_completes_a_sequence(monkeypatch):
     # completion: two model evaluations, not a third for the last step.
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return predict_at(*args)
+    def counted_step_time(coeffs, cfg):
+        model = step_time(coeffs, cfg)
 
-    monkeypatch.setattr(servesim, "predict_at", spy)
+        def counted(b, s):
+            calls.append((coeffs.phase, b))
+            return model(b, s)
+        return counted
+
+    step_time = servesim._step_time
+    monkeypatch.setattr(servesim, "_step_time", counted_step_time)
     trace = [req(0, 1, 9000)]
     result = run(Continuous(max_seqs=1), trace, TINY, ORACLE)
     assert len(calls) == 2
