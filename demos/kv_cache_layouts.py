@@ -30,21 +30,23 @@ from infercost import (
     resolve_hardware,
     resolve_model,
 )
+from infercost.cli import _byte_count, _count
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--model", default="llama2-7b")
     parser.add_argument("--hardware", default="a800")
-    parser.add_argument("--weight-bytes", type=float, default=13.5e9,
-                        help="bytes of model weights resident on the device")
-    parser.add_argument("--reserved-len", type=int, default=2048)
-    parser.add_argument("--block-size", type=int, default=16)
+    parser.add_argument("--weight-bytes", type=_byte_count, default=13_500_000_000,
+                        help="bytes of model weights resident on the device "
+                             "(scientific notation accepted)")
+    parser.add_argument("--reserved-len", type=_count, default=2048)
+    parser.add_argument("--block-size", type=_count, default=16)
     args = parser.parse_args()
 
     cfg = resolve_model(args.model)
     hw = resolve_hardware(args.hardware)
-    weights = int(args.weight_bytes)
+    weights = args.weight_bytes
     layouts = {
         f"vanilla({args.reserved_len})": Vanilla(reserved_len=args.reserved_len),
         f"paged({args.block_size})": Paged(block_size=args.block_size),

@@ -28,7 +28,7 @@ from infercost import (
     resolve_model,
     run,
 )
-from infercost.cli import paper_data_dir
+from infercost.cli import _count, paper_data_dir
 
 
 def fitted_coefficients(cfg, backend):
@@ -45,8 +45,8 @@ def main():
     parser.add_argument("--model", default="llama2-7b")
     parser.add_argument("--backend", choices=["transformers", "vllm"], default="vllm")
     parser.add_argument("--scenario", default="short-to-short")
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--n", type=_count, default=200)
+    parser.add_argument("--seed", type=_count, default=0)
     args = parser.parse_args()
 
     cfg = resolve_model(args.model)

@@ -25,6 +25,7 @@ from infercost import (
     resolve_model,
     ridge_point,
 )
+from infercost.cli import _count
 
 
 def print_phase(title, ops, cfg, hw):
@@ -49,8 +50,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--model", default="llama2-7b")
     parser.add_argument("--hardware", default="a800")
-    parser.add_argument("--b", type=int, default=8)
-    parser.add_argument("--s", type=int, default=512)
+    parser.add_argument("--b", type=_count, default=8)
+    parser.add_argument("--s", type=_count, default=512)
     args = parser.parse_args()
 
     cfg = resolve_model(args.model)

@@ -27,7 +27,8 @@ from infercost import (
     resolve_model,
     sweep_rates,
 )
-from infercost.cli import paper_data_dir
+from infercost.arch import _parse_number
+from infercost.cli import _all_trimmed_warning, _count, paper_data_dir
 
 
 def fitted_coefficients(cfg, backend):
@@ -44,16 +45,19 @@ def main():
     parser.add_argument("--model", default="llama2-7b")
     parser.add_argument("--backend", choices=["transformers", "vllm"], default="vllm")
     parser.add_argument("--scenario", default="long-to-short")
-    parser.add_argument("--n", type=int, default=400)
+    parser.add_argument("--n", type=_count, default=400)
     parser.add_argument("--rates", default="0.5,1,2,4,8,16",
                         help="comma-separated arrival rates in requests/s")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_count, default=0)
     parser.add_argument("--out", default=None, help="also write a metrics CSV here")
     args = parser.parse_args()
+    try:
+        rates = [_parse_number("rates", tok) for tok in args.rates.split(",")]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     cfg = resolve_model(args.model)
     coeffs = fitted_coefficients(cfg, args.backend)
-    rates = [float(tok) for tok in args.rates.split(",")]
     base = generate(args.scenario, args.n, seed=args.seed)
     print(f"{args.n} {args.scenario!r} requests, Poisson arrivals, "
           f"{args.backend}-fitted step times; metrics trim 100 requests of "
@@ -73,8 +77,11 @@ def main():
                   f"{m.seq_throughput:>7.2f} {m.mean_token_latency_s:>13.4f} "
                   f"{m.p95_latency_s:>10.2f}")
             csv_rows.append((label, rate, m))
-        peak = max(rates, key=lambda r: swept[r].token_throughput)
-        print(f"    throughput peaks at {peak:g} req/s offered load\n")
+        if all(swept[rate].completed == 0 for rate in rates):
+            print(f"    {_all_trimmed_warning(args.n)}\n")
+        else:
+            peak = max(rates, key=lambda r: swept[r].token_throughput)
+            print(f"    throughput peaks at {peak:g} req/s offered load\n")
 
     if args.out:
         Path(args.out).write_text(metrics_csv_text(csv_rows), encoding="utf-8", newline="")

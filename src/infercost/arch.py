@@ -84,6 +84,21 @@ def _require_nonnegative(what: str, *values) -> None:
             raise ValueError(f"{what} must be >= 0, got {value}")
 
 
+def _parse_int(what: str, text: str) -> int:
+    """An integer written in ASCII decimal digits, after an optional "-"."""
+    # int() also takes "1_6", " 64 ", "+16" and non-ASCII digits.
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{what} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _parse_number(what: str, text: str) -> float:
+    """A number as float() reads it, minus "_" and blanks around it; inf and nan pass."""
+    if "_" in text or text != text.strip():
+        raise ValueError(f"{what} must be a plain number, got {text!r}")
+    return float(text)
+
+
 def validate_config(cfg: ModelConfig) -> ModelConfig:
     """Return cfg unchanged iff all invariants hold; raise ConfigError otherwise.
 

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import costmodel, estimator, hardware, kvsim, servesim, workload
-from .arch import Phase, resolve_model
+from .arch import Phase, _parse_int, _parse_number, resolve_model
 from .costmodel import Paged, TokenGranular, Vanilla, aggregate
 from .hardware import resolve_hardware
 
@@ -85,17 +85,10 @@ def _f2(x: float) -> str:
 # Shared argument plumbing
 
 
-_LAYOUTS = ("vanilla", "paged", "token")
-
-
-def _make_layout(name: str, block_size: int, reserved_len: int):
-    if name == "vanilla":
-        return Vanilla(reserved_len=reserved_len)
-    if name == "paged":
-        return Paged(block_size=block_size)
-    if name == "token":
-        return TokenGranular()
-    raise ValueError(f"unknown layout {name!r}")
+# --layout choice -> the layout, built from the flags it reads
+_LAYOUTS = {"vanilla": lambda args: Vanilla(reserved_len=args.reserved_len),
+            "paged": lambda args: Paged(block_size=args.block_size),
+            "token": lambda args: TokenGranular()}
 
 
 def _op_costs(cfg, b: int, s: int, phase: Phase, layout):
@@ -104,13 +97,20 @@ def _op_costs(cfg, b: int, s: int, phase: Phase, layout):
     return costmodel.decode_op_costs(cfg, b, s, cache_layout=layout)
 
 
+def _count(text: str) -> int:
+    """argparse type of every integer flag; argparse names the flag in its error."""
+    try:
+        return _parse_int("value", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _byte_count(text: str) -> int:
     """Whole byte count; accepts scientific notation like 13.5e9."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    value = float(text)
+        value = _parse_number("value", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not value.is_integer():
         raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of bytes")
     return int(value)
@@ -127,8 +127,8 @@ def _add_hardware_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", type=int, default=1, help="batch size")
-    p.add_argument("--s", type=int, default=512,
+    p.add_argument("--b", type=_count, default=1, help="batch size")
+    p.add_argument("--s", type=_count, default=512,
                    help="sequence length (prefill) or cached length (decode)")
 
 
@@ -139,9 +139,9 @@ def _add_phase_flag(p: argparse.ArgumentParser) -> None:
 def _add_layout_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layout", choices=_LAYOUTS, default="paged",
                    help="KV-cache layout")
-    p.add_argument("--block-size", type=int, default=16,
+    p.add_argument("--block-size", type=_count, default=16,
                    help="tokens per block for the paged layout")
-    p.add_argument("--reserved-len", type=int, default=2048,
+    p.add_argument("--reserved-len", type=_count, default=2048,
                    help="per-sequence reservation for the vanilla layout")
 
 
@@ -158,7 +158,7 @@ def cmd_analyze(args) -> int:
     cfg = resolve_model(args.model)
     hw = resolve_hardware(args.hardware)
     phase = Phase(args.phase)
-    layout = _make_layout(args.layout, args.block_size, args.reserved_len)
+    layout = _LAYOUTS[args.layout](args)
     ops = _op_costs(cfg, args.b, args.s, phase, layout)
 
     rows = []
@@ -258,7 +258,7 @@ def cmd_roofline(args) -> int:
     cfg = resolve_model(args.model)
     hw = resolve_hardware(args.hardware)
     phase = Phase(args.phase)
-    layout = _make_layout(args.layout, args.block_size, args.reserved_len)
+    layout = _LAYOUTS[args.layout](args)
     ops = _op_costs(cfg, args.b, args.s, phase, layout)
     _emit(roofline_csv(ops, hw), args.out)
     if args.svg:
@@ -305,7 +305,7 @@ def cmd_predict(args) -> int:
 def cmd_memory(args) -> int:
     cfg = resolve_model(args.model)
     hw = resolve_hardware(args.hardware)
-    layout = _make_layout(args.layout, args.block_size, args.reserved_len)
+    layout = _LAYOUTS[args.layout](args)
     per_token = costmodel.kv_cache_bytes(cfg, 1, 1)
     batch_bytes = costmodel.kv_cache_bytes(cfg, args.b, args.s)
     stats = kvsim.footprint(layout, cfg, [args.s] * args.b)
@@ -334,14 +334,22 @@ def cmd_workload(args) -> int:
     return 0
 
 
+# --policy choice -> the policy class and the flag that sets its one field
+_POLICIES = {"static": (servesim.Static, "batch_size"),
+             "continuous": (servesim.Continuous, "max_seqs"),
+             "splitfuse": (servesim.SplitFuse, "token_budget")}
+
+
 def _build_policy(args) -> servesim.SchedulingPolicy:
-    if args.policy == "static":
-        return servesim.Static(batch_size=args.batch_size)
-    if args.policy == "continuous":
-        return servesim.Continuous(max_seqs=args.max_seqs)
-    if args.policy == "splitfuse":
-        return servesim.SplitFuse(token_budget=args.token_budget)
-    raise ValueError(f"unknown policy {args.policy!r}")
+    cls, flag = _POLICIES[args.policy]
+    return cls(getattr(args, flag))
+
+
+def _all_trimmed_warning(n_requests: int) -> str:
+    """What a rate sweep says when no rate kept a completion after trimming."""
+    n = servesim._WARMUP_TRIM
+    return (f"warning: sweep metrics trim {n} warmup and {n} drain requests, which "
+            f"consumed the whole {n_requests}-request trace; use more requests")
 
 
 def cmd_simulate(args) -> int:
@@ -356,7 +364,7 @@ def cmd_simulate(args) -> int:
     if args.hardware is not None:
         if args.weight_bytes is None:
             raise ValueError("--weight-bytes is required when --hardware sets a KV capacity")
-        layout = _make_layout(args.layout, args.block_size, args.reserved_len)
+        layout = _LAYOUTS[args.layout](args)
         hw = resolve_hardware(args.hardware)
         capacity = servesim.KvCapacity.from_hardware(layout, hw, args.weight_bytes)
 
@@ -367,16 +375,13 @@ def cmd_simulate(args) -> int:
 
     label = servesim.describe_policy(policy)
     if args.rates:
-        rates = [estimator._plain_number("rates", tok) for tok in args.rates.split(",")]
+        rates = [_parse_number("rates", tok) for tok in args.rates.split(",")]
         swept = servesim.sweep_rates(policy, trace, rates, cfg, coeffs,
                                      capacity=capacity, seed=args.seed,
                                      arrival_process=args.arrival_process)
         rows = [(label, rate, swept[rate]) for rate in rates]
         if all(m.completed == 0 for _, _, m in rows):
-            n = servesim._WARMUP_TRIM
-            print(f"warning: sweep metrics trim {n} warmup and {n} drain "
-                  f"requests, which consumed the whole {len(trace)}-request "
-                  f"trace; use more requests", file=sys.stderr)
+            print(_all_trimmed_warning(len(trace)), file=sys.stderr)
     else:
         result = servesim.run(policy, trace, cfg, coeffs, capacity=capacity)
         rows = [(label, 0.0, result.metrics)]
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-bytes", type=_byte_count, default=None,
                    help="model weight bytes resident on the device "
                         "(scientific notation accepted)")
-    p.add_argument("--per-seq-len", type=int, default=None,
+    p.add_argument("--per-seq-len", type=_count, default=None,
                    help="per-sequence token reservation for the concurrency bound "
                         "(default: --s)")
     _add_format_flags(p)
@@ -448,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("workload", help="generate a synthetic request trace")
     p.add_argument("--scenario", required=True,
                    choices=[sc.value for sc in workload.Scenario])
-    p.add_argument("--n", type=int, default=80, help="number of requests")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_count, default=80, help="number of requests")
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", default=None, help="JSONL output path (default: stdout)")
     p.set_defaults(func=cmd_workload)
 
@@ -457,16 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flag(p)
     p.add_argument("--prefill-coeffs", required=True, help="coefficient JSON from `fit`")
     p.add_argument("--decode-coeffs", required=True, help="coefficient JSON from `fit`")
-    p.add_argument("--policy", required=True, choices=["static", "continuous", "splitfuse"])
-    p.add_argument("--batch-size", type=int, default=8, help="static: batch size")
-    p.add_argument("--max-seqs", type=int, default=None, help="continuous: sequence cap")
-    p.add_argument("--token-budget", type=int, default=512,
+    p.add_argument("--policy", required=True, choices=_POLICIES)
+    p.add_argument("--batch-size", type=_count, default=8, help="static: batch size")
+    p.add_argument("--max-seqs", type=_count, default=None, help="continuous: sequence cap")
+    p.add_argument("--token-budget", type=_count, default=512,
                    help="splitfuse: tokens per step")
     p.add_argument("--trace", default=None, help="JSONL trace (overrides --scenario)")
     p.add_argument("--scenario", default=workload.Scenario.SHORT_TO_SHORT.value,
                    choices=[sc.value for sc in workload.Scenario])
-    p.add_argument("--n", type=int, default=80, help="requests when generating a trace")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_count, default=80, help="requests when generating a trace")
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--rates", default=None,
                    help="comma-separated arrival rates (req/s) for a sweep; "
                         "omit for a single run with the trace's own arrivals")

@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import (DimensionMismatchError, ModelConfig, Phase, _require_nonnegative,
-                   _require_positive)
+from .arch import (DimensionMismatchError, ModelConfig, Phase, _parse_int, _parse_number,
+                   _require_nonnegative, _require_positive)
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 _INT64_MAX = np.iinfo(np.int64).max
@@ -261,20 +261,6 @@ def fit(samples: list[TimingSample], cfg: ModelConfig, phase: Phase) -> FitResul
 
 # --- file formats -----------------------------------------------------------
 
-def _csv_count(name: str, text: str) -> int:
-    # int() also takes "1_6", " 64 " and non-ASCII digits.
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
-    return int(text)
-
-
-def _plain_number(name: str, text: str) -> float:
-    # float() also takes "1_0.5" and " 10.5 "; callers reject inf and nan.
-    if "_" in text or text != text.strip():
-        raise ValueError(f"{name} must be a plain number, got {text!r}")
-    return float(text)
-
-
 def load_timing_samples(path: str | Path) -> list[TimingSample]:
     """Read the `phase,b,s,time_ms` CSV; errors name `path: line N`."""
     expected = ["phase", "b", "s", "time_ms"]
@@ -291,9 +277,9 @@ def load_timing_samples(path: str | Path) -> list[TimingSample]:
                 if len(row) != len(expected):
                     raise ValueError(f"expected {len(expected)} fields, got {len(row)}")
                 phase, b, s, time_ms = row
-                samples.append(TimingSample(Phase(phase), _csv_count("b", b),
-                                            _csv_count("s", s),
-                                            _plain_number("time_ms", time_ms)))
+                samples.append(TimingSample(Phase(phase), _parse_int("b", b),
+                                            _parse_int("s", s),
+                                            _parse_number("time_ms", time_ms)))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     return samples

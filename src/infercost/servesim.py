@@ -6,24 +6,8 @@ model. The prefill step itself yields a request's first token, so a request
 with output_len L costs one prefill step plus L-1 decode steps, the i-th
 decode step running against s_past = input_len + i - 1 cached tokens.
 
-One engine loop runs every policy. Each pass pulls arrivals, admits queued
-requests in FIFO order, asks the policy for the step's work items - one
-(sequence, new_tokens, s_past) tuple per sequence the step touches - prices
-the step, then applies tokens, first-token times and completions. A policy
-supplies only its admission limit and timing, the step's kind and items, and
-whether finished sequences vacate:
-
-  Static     - admits up to batch_size requests into an empty batch, waiting
-               for stragglers until the batch is full or the trace is
-               exhausted; one prefill step over the whole batch, then decode
-               steps until the batch drains. Finished sequences stay in the
-               batch as padding and keep advancing their s_past.
-  Continuous - admits up to max_seqs sequences at every step boundary; each
-               admission runs one exclusive prefill step, then joins
-               per-token decoding. Finished sequences vacate immediately.
-  SplitFuse  - admits up to token_budget sequences; every step is mixed: one
-               decode token per decoding sequence, the rest of the budget
-               filled with prompt chunks split off pending prefills (FIFO).
+run() is one engine loop for every policy and names no policy class: a
+SchedulingPolicy supplies admission_limit, step_items and pads, and no more.
 
 One function, _step_bounds, prices every run of steps from its kind and
 items:
@@ -75,11 +59,11 @@ import numbers
 import operator
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -113,16 +97,51 @@ class Request:
                              f"got {self.arrival_time_s!r}")
 
 
+class SchedulingPolicy:
+    """A batching policy: the only rules run() asks for. Each policy is a
+    frozen dataclass with one count field, which describe_policy names.
+
+    admission_limit(running) -> int: how many sequences may be resident once
+    the pass's FIFO admissions are done. step_items(running, waiting,
+    more_arrivals) -> (kind, items): the next step's kind ("prefill", "decode"
+    or "mixed") and its (sequence, new_tokens, s_past) items; no items means
+    wait for the next arrival. A decode step carries no prompt token. pads:
+    whether finished sequences stay as padding until the whole batch ends.
+    """
+
+    pads = False
+
+
 @dataclass(frozen=True)
-class Static:
+class Static(SchedulingPolicy):
+    """Fills an empty batch with up to batch_size requests, waiting for
+    stragglers until it is full or the trace is exhausted, prefills it in one
+    step and decodes it until every sequence has finished; finished sequences
+    stay as padding and keep advancing their s_past."""
+
     batch_size: int
+    pads = True
 
     def __post_init__(self) -> None:
         _require_positive("batch_size", self.batch_size)
 
+    def admission_limit(self, running):
+        # Admit only into a batch that has not started its prefill.
+        return self.batch_size if not running or running[0].remaining_prompt else 0
+
+    def step_items(self, running, waiting, more_arrivals):
+        if running and not running[0].remaining_prompt:
+            return "decode", [(s, 1, s.s_past) for s in running]
+        if len(running) < self.batch_size and not waiting and more_arrivals:
+            return "prefill", []  # wait for stragglers
+        return "prefill", [(s, s.remaining_prompt, s.s_past) for s in running]
+
 
 @dataclass(frozen=True)
-class Continuous:
+class Continuous(SchedulingPolicy):
+    """Admits up to max_seqs sequences at every step boundary; each runs one
+    exclusive prefill step, then joins per-token decoding."""
+
     max_seqs: int
 
     def __post_init__(self) -> None:
@@ -130,26 +149,48 @@ class Continuous:
             raise ValueError("Continuous needs max_seqs")
         _require_positive("max_seqs", self.max_seqs)
 
+    def admission_limit(self, running):
+        return self.max_seqs
+
+    def step_items(self, running, waiting, more_arrivals):
+        for s in running:
+            if s.remaining_prompt:
+                return "prefill", [(s, s.remaining_prompt, s.s_past)]
+        return "decode", [(s, 1, s.s_past) for s in running]
+
 
 @dataclass(frozen=True)
-class SplitFuse:
+class SplitFuse(SchedulingPolicy):
+    """Admits up to token_budget sequences. Every step is mixed: one token per
+    decoding sequence, and the rest of the budget in prompt chunks split off
+    pending prefills in FIFO order."""
+
     token_budget: int
 
     def __post_init__(self) -> None:
         _require_positive("token_budget", self.token_budget)
 
+    def admission_limit(self, running):
+        # One decode token per running sequence must fit in the budget.
+        return self.token_budget
 
-SchedulingPolicy = Union[Static, Continuous, SplitFuse]
+    def step_items(self, running, waiting, more_arrivals):
+        items = [(s, 1, s.s_past) for s in running if not s.remaining_prompt]
+        budget = self.token_budget - len(items)
+        for s in running:
+            if s.remaining_prompt and budget:
+                chunk = min(s.remaining_prompt, budget)
+                items.append((s, chunk, s.s_past))
+                budget -= chunk
+        return "mixed", items
 
 
 def describe_policy(policy: SchedulingPolicy) -> str:
-    if isinstance(policy, Static):
-        return f"static(batch_size={policy.batch_size})"
-    if isinstance(policy, Continuous):
-        return f"continuous(max_seqs={policy.max_seqs})"
-    if isinstance(policy, SplitFuse):
-        return f"splitfuse(token_budget={policy.token_budget})"
-    raise TypeError(f"unknown policy: {policy!r}")
+    """The lower-cased class name and the one field: "static(batch_size=8)"."""
+    if not isinstance(policy, SchedulingPolicy):
+        raise TypeError(f"unknown policy: {policy!r}")
+    (field,) = fields(policy)
+    return f"{type(policy).__name__.lower()}({field.name}={getattr(policy, field.name)})"
 
 
 @dataclass(frozen=True)
@@ -378,7 +419,7 @@ def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float], prefill
     steps run up to and including the step that completes a sequence, as a
     float64 array, cut before the first step that starts at or after
     arrival_s, the next arrival (None when no request is still to arrive)."""
-    # Static and Continuous decode items never carry a prompt token.
+    # A decode step carries no prompt token (the SchedulingPolicy contract).
     if kind == "prefill" or (kind == "mixed" and any(seq.remaining_prompt
                                                      for seq, _, _ in items)):
         n = 1
@@ -433,57 +474,20 @@ class _Seq:
         self.first_token_s = 0.0
 
 
-def _admission_limit(policy: SchedulingPolicy, running: list[_Seq]) -> int:
-    """How many sequences may be resident once this pass's admissions are done."""
-    if isinstance(policy, Static):
-        # Admit only into a batch that has not started its prefill.
-        return policy.batch_size if not running or running[0].remaining_prompt else 0
-    if isinstance(policy, Continuous):
-        return policy.max_seqs
-    # One decode token per running sequence must fit in the budget.
-    return policy.token_budget
-
-
-def _step_items(policy: SchedulingPolicy, running: list[_Seq], waiting: deque,
-                more_arrivals: bool) -> tuple[str, list]:
-    """The next step's kind and (sequence, new_tokens, s_past) items; no items
-    means the engine should wait for the next arrival."""
-    if isinstance(policy, Static):
-        if running and not running[0].remaining_prompt:
-            return "decode", [(s, 1, s.s_past) for s in running]
-        if len(running) < policy.batch_size and not waiting and more_arrivals:
-            return "prefill", []  # wait for stragglers
-        return "prefill", [(s, s.remaining_prompt, s.s_past) for s in running]
-    if isinstance(policy, Continuous):
-        for s in running:
-            if s.remaining_prompt:
-                return "prefill", [(s, s.remaining_prompt, s.s_past)]
-        return "decode", [(s, 1, s.s_past) for s in running]
-    items = [(s, 1, s.s_past) for s in running if not s.remaining_prompt]
-    budget = policy.token_budget - len(items)
-    for s in running:
-        if s.remaining_prompt and budget:
-            chunk = min(s.remaining_prompt, budget)
-            items.append((s, chunk, s.s_past))
-            budget -= chunk
-    return "mixed", items
-
-
 def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
         coeffs: CoefficientPair, capacity: Optional[KvCapacity] = None) -> RunResult:
     """Simulate a trace under a policy; deterministic for fixed inputs.
 
-    Each pass of the loop pulls arrivals, admits queued requests in FIFO
-    order up to the policy's limit and the KV capacity, asks the policy for
-    the step's work items, prices the run of steps that carry those items up
-    to the next event, and applies its tokens, first tokens and completions.
+    Each pass pulls arrivals, admits queued requests in FIFO order up to
+    policy.admission_limit and the KV capacity, asks policy.step_items for
+    the step's items, prices the run of steps that carry them up to the next
+    event, and applies its tokens, first tokens and completions.
     """
     if not isinstance(coeffs, CoefficientPair):
         raise MissingCoefficientError(
             f"coeffs must be a CoefficientPair, got {type(coeffs).__name__}")
-    if not isinstance(policy, (Static, Continuous, SplitFuse)):
+    if not isinstance(policy, SchedulingPolicy):
         raise TypeError(f"unknown policy: {policy!r}")
-    pads = isinstance(policy, Static)  # finished sequences stay until the batch drains
     if trace:
         # A batch holds at most every request, and no s_past, padding's
         # included, reaches the longest prompt plus the longest output.
@@ -505,7 +509,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
         while next_arrival < len(pending) and pending[next_arrival].req.arrival_time_s <= t:
             waiting.append(pending[next_arrival])
             next_arrival += 1
-        limit = _admission_limit(policy, running)
+        limit = policy.admission_limit(running)
         while waiting and len(running) < limit and reserved + waiting[0].reserved <= total:
             seq = waiting.popleft()
             reserved += seq.reserved
@@ -514,7 +518,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
 
         arrival_s = (pending[next_arrival].req.arrival_time_s
                      if next_arrival < len(pending) else None)
-        kind, items = _step_items(policy, running, waiting, arrival_s is not None)
+        kind, items = policy.step_items(running, waiting, arrival_s is not None)
         if not items:
             t = max(t, arrival_s)
             continue
@@ -549,7 +553,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
                 completion_s=t, input_len=req.input_len, output_len=req.output_len))
             reserved -= seq.reserved
         live = [s for s in running if s.remaining_output]
-        if not pads or not live:
+        if not policy.pads or not live:
             running = live
 
     return RunResult(

@@ -474,3 +474,53 @@ class TestParserErrors:
                   "--format", "html"])
         assert exc.value.code == 2
         assert "invalid choice: 'html'" in capsys.readouterr().err
+
+
+MEMORY = ["memory", "--model", "llama2-7b", "--hardware", "a800"]
+SIMULATE = ["simulate", "--model", "llama2-7b", "--prefill-coeffs", "p.json",
+            "--decode-coeffs", "d.json", "--policy", "static"]
+INTEGER_FLAGS = [
+    (MEMORY, "--b"), (MEMORY, "--s"), (MEMORY, "--block-size"),
+    (MEMORY, "--reserved-len"), (MEMORY, "--per-seq-len"),
+    (["workload", "--scenario", "short-to-short"], "--n"),
+    (["workload", "--scenario", "short-to-short"], "--seed"),
+    (SIMULATE, "--batch-size"), (SIMULATE, "--max-seqs"), (SIMULATE, "--token-budget"),
+]
+
+
+class TestStrictNumberFlags:
+    # int() reads "1_6" as 16 and ignores blanks; float() the same for bytes.
+    @pytest.mark.parametrize("text", ["1_6", " 512", "512 ", "+16", "١٦", "16.0",
+                                      "1e3", "0x10", ""])
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAGS,
+                             ids=[f"{c[0]}{f}" for c, f in INTEGER_FLAGS])
+    def test_integer_flag_rejects_a_form_int_would_coerce(self, capsys, command, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, text])
+        assert exc.value.code == 2
+        *_, line = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"error: argument {flag}: value must be a decimal integer, "
+                             f"got {text!r}")
+
+    @pytest.mark.parametrize("command", [MEMORY, SIMULATE], ids=["memory", "simulate"])
+    @pytest.mark.parametrize("text, message", [
+        ("1_3.5e9", "value must be a plain number, got '1_3.5e9'"),
+        (" 13.5e9", "value must be a plain number, got ' 13.5e9'"),
+        ("13.5", "'13.5' is not a whole number of bytes"),
+        ("inf", "'inf' is not a whole number of bytes"),
+        ("nan", "'nan' is not a whole number of bytes"),
+        ("lots", "could not convert string to float: 'lots'"),
+    ])
+    def test_weight_bytes_rejects_a_form_float_would_coerce(self, capsys, command, text,
+                                                             message):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--weight-bytes", text])
+        assert exc.value.code == 2
+        *_, line = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"error: argument --weight-bytes: {message}")
+
+    def test_plain_forms_still_parse(self, capsys):
+        assert main([*MEMORY, "--b", "16", "--s", "512", "--weight-bytes", "13.5e9"]) == 0
+        out = capsys.readouterr().out
+        assert "b=16, s=512" in out
+        assert "max concurrent seqs of 512 tokens" in out

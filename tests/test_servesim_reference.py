@@ -3,10 +3,11 @@
 `reference_run` is the engine loop without decode spans: it prices and
 applies every step on its own. Its pricing, `_price`, is written from the
 table in the servesim docstring on top of `estimator.predict_at` and shares
-no code with the engine's. `run` advances stretches of decode-only steps,
-up to and including the step that completes a sequence, in one vectorised
-span and must still produce exactly the same RunResult - every float
-bit-identical, no tolerance.
+no code with the engine's; the scheduling rules are the policies' own
+methods, which both engines call. `run` advances stretches of decode-only
+steps, up to and including the step that completes a sequence, in one
+vectorised span and must still produce exactly the same RunResult - every
+float bit-identical, no tolerance.
 """
 
 import math
@@ -34,10 +35,8 @@ from infercost.servesim import (
     SplitFuse,
     Static,
     StepRecord,
-    _admission_limit,
     _reservation,
     _Seq,
-    _step_items,
     compute_metrics,
     describe_policy,
     run,
@@ -83,7 +82,6 @@ def _price(kind, items, cfg, coeffs) -> float:
 
 def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
     """The engine loop one step at a time, with no decode spans."""
-    pads = isinstance(policy, Static)
     per_token = kv_cache_bytes(cfg, 1, 1)
     pending = [_Seq(r, _reservation(r, per_token, capacity))
                for r in sorted(trace, key=lambda r: (r.arrival_time_s, r.id))]
@@ -98,14 +96,14 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
         while next_arrival < len(pending) and pending[next_arrival].req.arrival_time_s <= t:
             waiting.append(pending[next_arrival])
             next_arrival += 1
-        limit = _admission_limit(policy, running)
+        limit = policy.admission_limit(running)
         while waiting and len(running) < limit and reserved + waiting[0].reserved <= total:
             seq = waiting.popleft()
             reserved += seq.reserved
             peak = max(peak, reserved)
             running.append(seq)
 
-        kind, items = _step_items(policy, running, waiting, next_arrival < len(pending))
+        kind, items = policy.step_items(running, waiting, next_arrival < len(pending))
         if not items:
             t = max(t, pending[next_arrival].req.arrival_time_s)
             continue
@@ -139,7 +137,7 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
                 completion_s=t, input_len=r.input_len, output_len=r.output_len))
             reserved -= seq.reserved
         live = [s for s in running if s.remaining_output]
-        if not pads or not live:
+        if not policy.pads or not live:
             running = live
 
     return RunResult(compute_metrics(records), tuple(records), tuple(steps),
