@@ -29,6 +29,7 @@ from infercost import (
 )
 from infercost.arch import _parse_number
 from infercost.cli import _all_trimmed_warning, _count, paper_data_dir
+from infercost.servesim import _checked_rates
 
 
 def fitted_coefficients(cfg, backend):
@@ -52,7 +53,8 @@ def main():
     parser.add_argument("--out", default=None, help="also write a metrics CSV here")
     args = parser.parse_args()
     try:
-        rates = [_parse_number("rates", tok) for tok in args.rates.split(",")]
+        rates = _checked_rates(
+            [_parse_number("rates", tok) for tok in args.rates.split(",")])
     except ValueError as exc:
         parser.error(str(exc))
 

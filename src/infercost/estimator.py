@@ -20,10 +20,11 @@ adds follow the same order.
 A serving run prices many steps with one (coeffs, cfg). _step_time builds
 that model once, with the factors precomputed and no input checks per call;
 the caller checks once, with _require_exact, the largest counts it will pass.
-Its decode model multiplies float64 context lengths by float(b*h*l) and
-float(b*n*l). While both factors are integers that float64 holds exactly, IEEE
-rounds the product like float() rounds the exact integer, so every price is
-bit-identical to predict_at's.
+Its prefill model keeps each price it computes. Its decode model multiplies
+context lengths (an int, a float64 array, or each int of a range) by
+float(b*h*l) and float(b*n*l). While both factors are integers that float64
+holds exactly, IEEE rounds the product like float() rounds the exact integer,
+so every price is bit-identical to predict_at's.
 
 The intercept absorbs per-step fixed overhead (kernel launches, scheduler);
 it may be negative (unconstrained OLS), so predictions for tiny workloads can
@@ -44,6 +45,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -180,21 +182,33 @@ def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int,
 
 def _step_time(coeffs: RegressionCoefficients, cfg: ModelConfig):
     """predict_at for one (coeffs, cfg), built once: a function of (b, s)
-    that runs no input check. b is an int >= 1. A prefill s is an int >= 1; a
-    decode s is an int >= 0 or a float64 array of such integers, and gives
-    an array. Counts must lie in the range _require_exact accepted for cfg."""
+    that runs no input check. b is an int >= 1. A prefill s is an int >= 1;
+    each (b, s) is priced once per model. A decode s is an int >= 0, a
+    float64 array of such integers (giving an array) or a range of them
+    (giving an iterator of prices, each computed as it is read). Counts must
+    lie in the range _require_exact accepted for cfg."""
     values = coeffs.values
     if coeffs.phase is Phase.PREFILL:
         factors = _prefill_factors(cfg)
 
+        @cache
         def prefill(b: int, s: int) -> float:
             # float * int rounds the int as float() does.
             return _weighted_sum(values, _prefill_terms(factors, b, s))
         return prefill
     hl, nl = _decode_factors(cfg)
+    phi, psi, omega, nu = values
 
     def decode(b: int, s):
-        return _weighted_sum(values, _decode_terms(s, float(b * hl), float(b * nl)))
+        bhl, bnl = float(b * hl), float(b * nl)
+
+        def price(x):
+            # _weighted_sum written out, without its loop per step: the same
+            # operations in the same order. An int x rounds in x * bhl as
+            # float() rounds it.
+            f0, f1, f2, f3 = _decode_terms(x, bhl, bnl)
+            return 0.0 + phi * f0 + psi * f1 + omega * f2 + nu * f3
+        return map(price, s) if isinstance(s, range) else price(s)
     return decode
 
 

@@ -19,26 +19,26 @@ items:
 Each run builds the fitted step-time model of each phase once, with its
 per-config factors precomputed, and checks once, before the first step, that
 the largest b and s it can reach are in the model's exact range; no step
-repeats those checks. Every price is bit-identical to estimator.predict_at.
+repeats those checks; the prefill model prices each (b, s) once per run.
+Every price is bit-identical to estimator.predict_at.
 
 Decode spans: between two scheduler events a batch whose items are all
 one-token decodes keeps its sequences and its admission state, and each
-step's s_past grows by one. The engine advances such a stretch in one pass:
-it prices every step with one array evaluation of the decode model (a mixed
-step of decode tokens only has one constant price) and takes the boundaries
-as a left-to-right cumulative sum, exactly like adding the steps one by one.
-A span ends with the step that completes a sequence, or before the first
-step that starts at or after the next arrival; only a step that carries a
-prompt token runs alone. Every run of steps, one step or a span, is applied
-by the same code. Simulator cost therefore scales with scheduler events, not
-with generated tokens.
+step's s_past grows by one (a mixed step of decode tokens only keeps one
+price). The engine advances such a stretch in one pass, up to the step that
+completes a sequence and cut before the first step that starts at or after
+the next arrival; only a step that carries a prompt token runs alone. Spans
+of at most _SHORT_SPAN steps are priced as Python floats up to the cut,
+longer ones as one array; both sum max(0, ms) / 1000 per step left to right,
+so they give the same bits. Every run of steps is applied by the same code.
+Simulator cost therefore scales with scheduler events, not generated tokens.
 
 Step storage: a run's steps are a StepTable, one read-only numpy column per
-StepRecord field, so no Python object exists per step. A span contributes
-slices of its boundary array and run lengths of its constant fields; a single
-step contributes scalars; the columns are joined once when the run ends.
-Indexing and iterating a StepTable yield StepRecords equal to those of a
-step-by-step loop.
+StepRecord field, so no Python object exists per step until it is read. A
+run of steps contributes its boundaries (Python floats appended to lists, or
+slices of a long span's array) and run lengths of its constant fields; the
+columns are joined once when the run ends. Indexing and iterating a
+StepTable yield StepRecords equal to those of a step-by-step loop.
 
 KV accounting: admission reserves the maximum cache a request will ever hold
 (input_len + output_len - 1 tokens, rounded up per the capacity's layout) and
@@ -61,7 +61,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -325,13 +325,13 @@ _KIND_CODES = {kind: code for code, kind in enumerate(StepTable.KINDS)}
 
 class _StepLog:
     """Gathers a run's steps column by column, in step order. A run of steps
-    comes as its boundaries (t, t_1, ..., t_n): a single step appends Python
-    scalars, a longer run appends slices of its boundary array. kind, batch,
-    tokens, generated and reserved_bytes take one value per run, with the
-    number of steps it stands for."""
+    comes as its boundaries (t, t_1, ..., t_n): one step or a list extends the
+    current start and end lists, a longer array adds slices of itself between
+    them. kind, batch, tokens, generated and reserved_bytes take one value per
+    run, with the number of steps it stands for."""
 
     def __init__(self):
-        self.start: list[float] = []  # single steps since the last longer run
+        self.start: list[float] = []  # steps since the last array slices
         self.end: list[float] = []
         self.start_parts: list = [self.start]  # those lists and run slices, in order
         self.end_parts: list = [self.end]
@@ -339,9 +339,12 @@ class _StepLog:
         self.counts: list[int] = []
 
     def add(self, bounds, *fields) -> None:
-        if len(bounds) == 2:
+        if len(bounds) == 2:  # one step, the commonest run
             self.start.append(bounds[0])
             self.end.append(bounds[1])
+        elif isinstance(bounds, list):
+            self.start += bounds[:-1]
+            self.end += bounds[1:]
         else:
             self.start, self.end = [], []
             self.start_parts += [bounds[:-1], self.start]
@@ -409,16 +412,21 @@ def compute_metrics(records) -> ServingMetrics:
 
 
 _NEW_TOKENS, _S_PAST = itemgetter(1), itemgetter(2)  # fields of a step item
+# Longest span priced step by step as Python floats rather than as one array.
+# An uncut span breaks even at about 30 (decode) to 64 (mixed) steps, but the
+# float loop stops at the next arrival, which cuts most spans well before.
+_SHORT_SPAN = 64
 
 
 def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float], prefill, decode):
-    """Boundaries (t, t_1, ..., t_n) of the next n >= 1 steps, which all carry
+    """Boundaries [t, t_1, ..., t_n] of the next n >= 1 steps, which all carry
     these (sequence, new_tokens, s_past) items; the one place a step is
-    priced, by the run's prefill and decode step-time models. A step that
-    carries a prompt token runs alone, as a Python (t, t_1) pair. Decode-only
-    steps run up to and including the step that completes a sequence, as a
-    float64 array, cut before the first step that starts at or after
-    arrival_s, the next arrival (None when no request is still to arrive)."""
+    priced, by the run's step-time models (prefill memoized per run). A step
+    that carries a prompt token runs alone. Decode-only steps run up to and
+    including the step that completes a sequence, cut before the first step
+    that starts at or after arrival_s, the next arrival (None if none is
+    left). Up to _SHORT_SPAN steps are priced as a list of Python floats, up
+    to the cut only; a longer span as one float64 array, cut afterwards."""
     # A decode step carries no prompt token (the SchedulingPolicy contract).
     if kind == "prefill" or (kind == "mixed" and any(seq.remaining_prompt
                                                      for seq, _, _ in items)):
@@ -432,11 +440,24 @@ def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float], prefill
     else:
         model, b, s = prefill, 1, sum(map(_NEW_TOKENS, items))
     if n == 1:
-        return t, t + max(0.0, model(b, s)) / 1000.0
-    if kind == "decode":  # s_past grows by one per step
+        return [t, t + max(0.0, model(b, s)) / 1000.0]
+    if n <= _SHORT_SPAN:
+        # s_past grows by one per decode step; a mixed step of decode tokens
+        # only keeps its token count, and price. Priced lazily: no step past
+        # the cut is evaluated.
+        prices = model(b, range(s, s + n)) if kind == "decode" else repeat(model(b, s), n)
+        cut = math.inf if arrival_s is None else arrival_s
+        bounds = [t]
+        for ms in prices:
+            t += (ms if ms > 0.0 else 0.0) / 1000.0  # max(0.0, ms), as np.where below
+            bounds.append(t)
+            if t >= cut:
+                break
+        return bounds
+    if kind == "decode":
         ms = model(b, np.arange(s, s + n, dtype=np.float64))
-        durations = np.where(ms > 0.0, ms, 0.0) / 1000.0  # max(0.0, ms) per step
-    else:  # a mixed step of decode tokens only: the same token count each step
+        durations = np.where(ms > 0.0, ms, 0.0) / 1000.0
+    else:
         durations = np.full(n, max(0.0, model(b, s)) / 1000.0)
     bounds = np.cumsum(np.concatenate(([t], durations)))
     if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
@@ -576,6 +597,20 @@ def trim_warmup(records, n: int = _WARMUP_TRIM) -> list[RequestRecord]:
     return ordered[n:len(ordered) - n]
 
 
+def _checked_rates(rates) -> list[float]:
+    """The rates as floats, if they are finite, positive and distinct."""
+    rates = list(rates)
+    for i, rate in enumerate(rates):
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ValueError(f"rates must be real numbers, got {rate!r}")
+        rates[i] = rate = float(rate)
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"rates must be finite and positive, got {rate!r}")
+        if rate in rates[:i]:
+            raise ValueError(f"rate {rate!r} is repeated")
+    return rates
+
+
 def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
                 cfg: ModelConfig, coeffs, capacity: Optional[KvCapacity] = None,
                 seed: int = 0, arrival_process: str = "poisson",
@@ -587,15 +622,7 @@ def sweep_rates(policy: SchedulingPolicy, base_trace: list[Request], rates,
     share randomness and differ only in time scale. Rates must be finite,
     positive and distinct, since the result is keyed by rate.
     """
-    rates = list(rates)
-    for i, rate in enumerate(rates):
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise ValueError(f"rates must be real numbers, got {rate!r}")
-        rates[i] = rate = float(rate)
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"rates must be finite and positive, got {rate!r}")
-        if rate in rates[:i]:
-            raise ValueError(f"rate {rate!r} is repeated")
+    rates = _checked_rates(rates)
     if arrival_process == "poisson":
         gaps = np.random.default_rng(seed).exponential(1.0, size=len(base_trace))
     elif arrival_process == "uniform":

@@ -43,6 +43,19 @@ def test_rate_sweep_rejects_a_rate_float_would_coerce(tmp_path):
         "error: rates must be a plain number, got '1_0'")
 
 
+@pytest.mark.parametrize("rates, message", [
+    ("1,inf", "rates must be finite and positive, got inf"),
+    ("1,1", "rate 1.0 is repeated"),
+])
+def test_rate_sweep_rejects_an_infinite_or_repeated_rate(tmp_path, rates, message):
+    # One usage line and exit 2, as `infercost simulate --rates` gives, not a traceback.
+    proc = _run_demo(RATE_SWEEP, tmp_path, "--rates", rates, "--n", "20")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_rate_sweep_warns_instead_of_naming_a_peak_when_nothing_completed(tmp_path):
     proc = _run_demo(RATE_SWEEP, tmp_path, "--rates", "10,2", "--n", "20")
     assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infercost.arch import DimensionMismatchError, ModelConfig, Phase
@@ -158,9 +158,12 @@ def _bits(values) -> list[str]:
        b=st.integers(1, 256),
        s=st.one_of(st.integers(0, 200_000), st.integers(2**40, 2**53 - 64)),
        n=st.integers(1, 40))
+# predict_at's sum starts at 0.0, so an all-signed-zero decode sum is +0.0.
+@example(values=(-1.0, -1.0, -0.0, -0.0, 0.0, 0.0), cfg=LLAMA7B, b=1, s=0, n=2)
 def test_step_time_equals_predict_at_bit_for_bit(values, cfg, b, s, n):
-    # The per-run model prices decode s in float64, scalar and span alike;
-    # near 2**53 the products round, and must round like predict_at's.
+    # The per-run model prices decode s in float64: an int, an array span and
+    # a range span alike; near 2**53 the products round, and must round like
+    # predict_at's. A prefill point is priced once and then looked up.
     _require_exact(cfg, b, s + n)
     for phase, exponents in ((Phase.PREFILL, (11, 11, 8, 7, 9, 0)),
                              (Phase.DECODE, (9, 7, 6, 0))):
@@ -172,9 +175,14 @@ def test_step_time_equals_predict_at_bit_for_bit(values, cfg, b, s, n):
             got = model(b, point)
             assert type(got) is float
             assert _bits([got]) == _bits([predict_at(c, cfg, b, point)])
-            if phase is Phase.DECODE:
-                span = model(b, np.arange(s, s + n, dtype=np.float64))
-                assert _bits(span) == _bits(predict_at(c, cfg, b, x) for x in range(s, s + n))
+            if phase is Phase.PREFILL:
+                assert model(b, point) is got
+                continue
+            want = _bits(predict_at(c, cfg, b, x) for x in range(s, s + n))
+            assert _bits(model(b, np.arange(s, s + n, dtype=np.float64))) == want
+            prices = list(model(b, range(s, s + n)))
+            assert all(type(ms) is float for ms in prices)
+            assert _bits(prices) == want
 
 
 def _synthetic_design(phase, true_values):

@@ -8,14 +8,16 @@ phi = 1 on a config where h * l = 4, i.e. 4 * b * s_past milliseconds.
 import csv
 import gc
 import io
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infercost import servesim
-from infercost.arch import ModelConfig, Phase
-from infercost.estimator import RegressionCoefficients, TimingSample
+from infercost.arch import MODEL_PRESETS, ModelConfig, Phase
+from infercost.estimator import RegressionCoefficients, TimingSample, coeff_names
 from infercost.hardware import HARDWARE_PRESETS
 from infercost.kvsim import Paged, TokenGranular, Vanilla, allocated_tokens
 from infercost.servesim import (
@@ -41,8 +43,10 @@ from infercost.servesim import (
     sweep_rates,
     trim_warmup,
 )
+from infercost.workload import generate
 
 TINY = ModelConfig(4, 8, 2, 2, 1)  # h*l = 4; KV cache is 16 B/token
+LLAMA7B = MODEL_PRESETS["llama2-7b"]
 CONST_PREFILL = RegressionCoefficients(Phase.PREFILL, (0, 0, 0, 0, 0, 100.0))
 PHI_DECODE = RegressionCoefficients(Phase.DECODE, (1.0, 0, 0, 0))
 ORACLE = CoefficientPair(CONST_PREFILL, PHI_DECODE)
@@ -670,3 +674,80 @@ def test_invariants_with_arrivals_and_kv_capacity(case, policy):
         assert later.start_s >= earlier.start_s
     assert result.peak_reserved_bytes <= capacity.total_bytes
     assert run(policy, trace, TINY, ORACLE, capacity=capacity) == result
+
+
+def _table10(paper_data, backend: str) -> CoefficientPair:
+    with open(paper_data / "table10_regression_coefficients.json", encoding="utf-8") as fh:
+        table = json.load(fh)[backend]
+    return CoefficientPair(*(
+        RegressionCoefficients(phase, tuple(table[phase.value][name]
+                                            for name in coeff_names(phase)))
+        for phase in (Phase.PREFILL, Phase.DECODE)))
+
+
+def _poisson_trace(scenario: str, n: int, seed: int) -> list[Request]:
+    """n requests arriving at 4 req/s."""
+    arrivals = np.cumsum(np.random.default_rng(seed).exponential(0.25, size=n))
+    return [Request(r.id, r.input_len, r.output_len, float(at))
+            for r, at in zip(generate(scenario, n, seed=seed), arrivals)]
+
+
+class TestSpanPaths:
+    """Up to _SHORT_SPAN steps are priced one by one as Python floats, longer
+    spans as one array; both must give the same steps to the bit."""
+
+    def run_three_ways(self, monkeypatch, *args):
+        """run(*args) with every span on the array path, every span on the
+        scalar path, and the default split; asserts all three are equal."""
+        kinds = []
+
+        def spy(*bounds_args):
+            bounds = step_bounds(*bounds_args)
+            if len(bounds) > 2:
+                kinds.append(type(bounds))
+            return bounds
+
+        step_bounds = servesim._step_bounds
+        monkeypatch.setattr(servesim, "_step_bounds", spy)
+        results = []
+        for short_span in (1, 2**62, servesim._SHORT_SPAN):
+            kinds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(servesim, "_SHORT_SPAN", short_span)
+                results.append(run(*args))
+            if short_span == 1:
+                assert kinds and set(kinds) == {np.ndarray}
+            elif short_span == 2**62:
+                assert set(kinds) == {list}
+        array_only, scalar_only, default = results
+        assert scalar_only == array_only
+        assert default == array_only
+        return default, set(kinds)
+
+    @pytest.mark.parametrize("capacity", [None, KvCapacity(Paged(16), 4 * 2**30)],
+                             ids=["uncapped", "paged16-4gib"])
+    @pytest.mark.parametrize("policy", [Static(8), Continuous(max_seqs=16), SplitFuse(256)],
+                             ids=describe_policy)
+    @pytest.mark.parametrize("backend", ["vllm", "transformers"])
+    def test_table10_poisson_runs_agree(self, paper_data, monkeypatch, backend, policy,
+                                        capacity):
+        trace = _poisson_trace("short-to-long", 150, seed=9)
+        result, kinds = self.run_three_ways(monkeypatch, policy, trace, LLAMA7B,
+                                            _table10(paper_data, backend), capacity)
+        assert kinds == {list, np.ndarray}  # the default takes both paths
+        assert len(result.records) == len(trace)
+
+    @pytest.mark.parametrize("output_len, steps_before", [(30, 2), (100, 70)])
+    def test_a_step_starting_at_an_arrival_is_not_in_the_span(self, monkeypatch,
+                                                              output_len, steps_before):
+        # ORACLE prices the prefill at 100 ms and a decode step at 4 * s_past
+        # ms; request 1 arrives exactly when decode step steps_before ends,
+        # inside a span of output_len - 1 steps.
+        boundary = 0.1
+        for s_past in range(1, steps_before + 1):
+            boundary += 4 * s_past / 1000.0
+        trace = [req(0, 1, output_len), req(1, 1, 1, at=boundary)]
+        result, _ = self.run_three_ways(monkeypatch, Continuous(max_seqs=2), trace,
+                                        TINY, ORACLE)
+        assert result.steps[steps_before].end_s == boundary
+        assert result.steps[steps_before + 1][:3] == (boundary, boundary + 0.1, "prefill")

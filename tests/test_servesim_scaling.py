@@ -35,6 +35,10 @@ from infercost.hardware import HARDWARE_PRESETS
 
 LLAMA7B = MODEL_PRESETS["llama2-7b"]
 A800_PAGED = KvCapacity.from_hardware(Paged(16), HARDWARE_PRESETS["a800"], 13_476_831_232)
+# The a800 cap never refuses these traces; 4 GiB refuses admission on the
+# long-to-short traces (test_the_small_cap_refuses_admission).
+PAGED_4GIB = KvCapacity(Paged(16), 4 * 2**30)
+POLICIES = [Static(8), Continuous(max_seqs=16), SplitFuse(256)]
 
 
 def _table10(paper_data, backend: str, scale: float) -> CoefficientPair:
@@ -53,9 +57,9 @@ def _poisson_trace(scenario: str, scale: float) -> list[Request]:
             for r, at in zip(generate(scenario, 200, seed=5), arrivals)]
 
 
-@pytest.mark.parametrize("capacity", [None, A800_PAGED], ids=["uncapped", "a800-paged16"])
-@pytest.mark.parametrize("policy", [Static(8), Continuous(max_seqs=16), SplitFuse(256)],
-                         ids=describe_policy)
+@pytest.mark.parametrize("capacity", [None, A800_PAGED, PAGED_4GIB],
+                         ids=["uncapped", "a800-paged16", "paged16-4gib"])
+@pytest.mark.parametrize("policy", POLICIES, ids=describe_policy)
 @pytest.mark.parametrize("scenario", ["short-to-short", "short-to-long", "long-to-short"])
 @pytest.mark.parametrize("backend", ["vllm", "transformers"])
 def test_doubling_coefficients_and_arrivals_doubles_every_time(
@@ -81,3 +85,17 @@ def test_doubling_coefficients_and_arrivals_doubles_every_time(
     assert got.mean_token_latency_s == 2 * want.mean_token_latency_s
     assert got.token_throughput == want.token_throughput / 2
     assert got.seq_throughput == want.seq_throughput / 2
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=describe_policy)
+@pytest.mark.parametrize("backend", ["vllm", "transformers"])
+def test_the_small_cap_refuses_admission(paper_data, backend, policy):
+    # Refusal shows in the schedule: a step starts at another time or carries
+    # another batch than under the a800 cap. reserved_bytes would differ
+    # under any other cap from block rounding alone.
+    trace = _poisson_trace("long-to-short", 1.0)
+    coeffs = _table10(paper_data, backend, 1.0)
+    small = run(policy, trace, LLAMA7B, coeffs, PAGED_4GIB).steps
+    large = run(policy, trace, LLAMA7B, coeffs, A800_PAGED).steps
+    assert not (np.array_equal(small.start_s, large.start_s)
+                and np.array_equal(small.batch, large.batch))
