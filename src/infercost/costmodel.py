@@ -199,8 +199,10 @@ def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int
 def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
                     cache_layout: CacheLayout = Paged()) -> list[OpCost]:
     """Per-operation costs of one decoder layer generating one token per
-    sequence with s_past cached tokens each."""
-    _require_positive("b and s_past", b, s_past)
+    sequence with s_past cached tokens each; 0 is an empty cache (no scores)."""
+    _require_nonnegative("b and s_past", b, s_past)
+    if not b:
+        _require_positive("b", b)
     cache_mops = cache_update_mops(cache_layout, cfg, b, s_past)
     qkv, rope, *rest = _token_ops(cfg, b)
     return [qkv, rope, OpCost(OpKind.CACHE_UPDATE, 0, cache_mops),

@@ -9,12 +9,12 @@ decode step running against s_past = input_len + i - 1 cached tokens.
 run() is one engine loop for every policy and names no policy class: a
 SchedulingPolicy supplies admission_limit, step_items and pads, and no more.
 
-One function, _step_bounds, prices every run of steps from its kind and
-items:
+One function, _step_bounds, prices every run of steps at the point run()
+picks from the step's kind, its prompt chunks and the decoding sequences:
 
-  prefill -> prefill model at (len(items), max new_tokens)
-  decode  -> decode model at (len(items), max s_past)
-  mixed   -> prefill model at (1, sum of new_tokens)
+  prefill -> prefill model at (number of chunks, max chunk tokens)
+  decode  -> decode model at (len(decoding), max s_past)
+  mixed   -> prefill model at (1, len(decoding) + sum of chunk tokens)
 
 Each run builds the fitted step-time model of each phase once, with its
 per-config factors precomputed, and checks once, before the first step, that
@@ -22,16 +22,24 @@ the largest b and s it can reach are in the model's exact range; no step
 repeats those checks; the prefill model prices each (b, s) once per run.
 Every price is bit-identical to estimator.predict_at.
 
-Decode spans: between two scheduler events a batch whose items are all
-one-token decodes keeps its sequences and its admission state, and each
-step's s_past grows by one (a mixed step of decode tokens only keeps one
-price). The engine advances such a stretch in one pass, up to the step that
-completes a sequence and cut before the first step that starts at or after
-the next arrival; only a step that carries a prompt token runs alone. Spans
-of at most _SHORT_SPAN steps are priced as Python floats up to the cut,
-longer ones as one array; both sum max(0, ms) / 1000 per step left to right,
-so they give the same bits. Every run of steps is applied by the same code.
-Simulator cost therefore scales with scheduler events, not generated tokens.
+The decode clock: every decode or mixed step gives each decoding sequence,
+Static's padding included, one token, so run() counts such steps on one
+integer clock instead of touching each sequence. A sequence joining decoding
+stores base = s_past - clock and end = clock + remaining output; run() keeps
+top (the largest base), next_end (the smallest end of a live sequence) and
+live (their number). A step that carries no prompt chunk keeps its point
+(decode s_past = top + clock grows by one per step), so run() advances
+next_end - clock such steps in one span, up to the step that completes a
+sequence, cut before the first step that starts at or after the next
+arrival, and applies them as clock += n. A step with a chunk runs alone.
+Spans of at most _SHORT_SPAN steps are priced as Python floats up to the
+cut, longer ones as one array; both sum max(0, ms) / 1000 per step left to
+right, so they give the same bits.
+
+Simulator cost therefore scales with scheduler events, not generated tokens,
+and an event costs O(1) plus its prompt chunks, whatever the batch width;
+only a completion (clock == next_end) scans decoding, to collect it and
+recompute top, next_end and live.
 
 Step storage: a run's steps are a StepTable, one read-only numpy column per
 StepRecord field, so no Python object exists per step until it is read. A
@@ -101,12 +109,16 @@ class SchedulingPolicy:
     """A batching policy: the only rules run() asks for. Each policy is a
     frozen dataclass with one count field, which describe_policy names.
 
-    admission_limit(running) -> int: how many sequences may be resident once
-    the pass's FIFO admissions are done. step_items(running, waiting,
-    more_arrivals) -> (kind, items): the next step's kind ("prefill", "decode"
-    or "mixed") and its (sequence, new_tokens, s_past) items; no items means
-    wait for the next arrival. A decode step carries no prompt token. pads:
-    whether finished sequences stay as padding until the whole batch ends.
+    admission_limit(decoding) -> int: how many sequences may be resident once
+    the pass's FIFO admissions are done, given how many are decoding.
+    step_items(prompting, decoding, waiting, more_arrivals) -> (kind,
+    chunks): the next step's kind ("prefill", "decode" or "mixed") and its
+    prompt chunks, (sequence, new_tokens) pairs taken in order from the head
+    of prompting, the admitted sequences with prompt left. A decode or mixed
+    step also carries one token of every decoding sequence; a decode step
+    carries no chunk. A step that generates no token means wait for the next
+    arrival; with none left, run() raises. pads: whether finished sequences
+    stay as padding until the whole batch ends.
     """
 
     pads = False
@@ -125,16 +137,16 @@ class Static(SchedulingPolicy):
     def __post_init__(self) -> None:
         _require_positive("batch_size", self.batch_size)
 
-    def admission_limit(self, running):
+    def admission_limit(self, decoding):
         # Admit only into a batch that has not started its prefill.
-        return self.batch_size if not running or running[0].remaining_prompt else 0
+        return 0 if decoding else self.batch_size
 
-    def step_items(self, running, waiting, more_arrivals):
-        if running and not running[0].remaining_prompt:
-            return "decode", [(s, 1, s.s_past) for s in running]
-        if len(running) < self.batch_size and not waiting and more_arrivals:
+    def step_items(self, prompting, decoding, waiting, more_arrivals):
+        if decoding:
+            return "decode", []
+        if len(prompting) < self.batch_size and not waiting and more_arrivals:
             return "prefill", []  # wait for stragglers
-        return "prefill", [(s, s.remaining_prompt, s.s_past) for s in running]
+        return "prefill", [(s, s.remaining_prompt) for s in prompting]
 
 
 @dataclass(frozen=True)
@@ -149,14 +161,13 @@ class Continuous(SchedulingPolicy):
             raise ValueError("Continuous needs max_seqs")
         _require_positive("max_seqs", self.max_seqs)
 
-    def admission_limit(self, running):
+    def admission_limit(self, decoding):
         return self.max_seqs
 
-    def step_items(self, running, waiting, more_arrivals):
-        for s in running:
-            if s.remaining_prompt:
-                return "prefill", [(s, s.remaining_prompt, s.s_past)]
-        return "decode", [(s, 1, s.s_past) for s in running]
+    def step_items(self, prompting, decoding, waiting, more_arrivals):
+        if prompting:
+            return "prefill", [(prompting[0], prompting[0].remaining_prompt)]
+        return "decode", []
 
 
 @dataclass(frozen=True)
@@ -170,19 +181,20 @@ class SplitFuse(SchedulingPolicy):
     def __post_init__(self) -> None:
         _require_positive("token_budget", self.token_budget)
 
-    def admission_limit(self, running):
-        # One decode token per running sequence must fit in the budget.
+    def admission_limit(self, decoding):
+        # One decode token per resident sequence must fit in the budget.
         return self.token_budget
 
-    def step_items(self, running, waiting, more_arrivals):
-        items = [(s, 1, s.s_past) for s in running if not s.remaining_prompt]
-        budget = self.token_budget - len(items)
-        for s in running:
-            if s.remaining_prompt and budget:
-                chunk = min(s.remaining_prompt, budget)
-                items.append((s, chunk, s.s_past))
-                budget -= chunk
-        return "mixed", items
+    def step_items(self, prompting, decoding, waiting, more_arrivals):
+        chunks = []
+        budget = self.token_budget - decoding
+        for s in prompting:
+            if not budget:
+                break
+            chunk = min(s.remaining_prompt, budget)
+            chunks.append((s, chunk))
+            budget -= chunk
+        return "mixed", chunks
 
 
 def describe_policy(policy: SchedulingPolicy) -> str:
@@ -411,41 +423,27 @@ def compute_metrics(records) -> ServingMetrics:
     )
 
 
-_NEW_TOKENS, _S_PAST = itemgetter(1), itemgetter(2)  # fields of a step item
+_NEW_TOKENS = itemgetter(1)  # of a (sequence, new_tokens) prompt chunk
 # Longest span priced step by step as Python floats rather than as one array.
 # An uncut span breaks even at about 30 (decode) to 64 (mixed) steps, but the
 # float loop stops at the next arrival, which cuts most spans well before.
 _SHORT_SPAN = 64
 
 
-def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float], prefill, decode):
-    """Boundaries [t, t_1, ..., t_n] of the next n >= 1 steps, which all carry
-    these (sequence, new_tokens, s_past) items; the one place a step is
-    priced, by the run's step-time models (prefill memoized per run). A step
-    that carries a prompt token runs alone. Decode-only steps run up to and
-    including the step that completes a sequence, cut before the first step
-    that starts at or after arrival_s, the next arrival (None if none is
-    left). Up to _SHORT_SPAN steps are priced as a list of Python floats, up
-    to the cut only; a longer span as one float64 array, cut afterwards."""
-    # A decode step carries no prompt token (the SchedulingPolicy contract).
-    if kind == "prefill" or (kind == "mixed" and any(seq.remaining_prompt
-                                                     for seq, _, _ in items)):
-        n = 1
-    else:
-        n = min(seq.remaining_output for seq, _, _ in items if seq.remaining_output)
-    if kind == "prefill":
-        model, b, s = prefill, len(items), max(map(_NEW_TOKENS, items))
-    elif kind == "decode":
-        model, b, s = decode, len(items), max(map(_S_PAST, items))
-    else:
-        model, b, s = prefill, 1, sum(map(_NEW_TOKENS, items))
+def _step_bounds(model, b: int, s: int, grows: bool, n: int, t: float,
+                 arrival_s: Optional[float]):
+    """Boundaries [t, t_1, ..., t_n] of the next n >= 1 steps, priced at batch
+    b and size s by one of the run's step-time models (prefill memoized per
+    run); the one place a step is priced. s grows by one per step if `grows`
+    (a decode span's s_past). The span is cut before the first step that
+    starts at or after arrival_s, the next arrival (None if none is left). Up
+    to _SHORT_SPAN steps are priced as a list of Python floats, up to the cut
+    only; a longer span as one float64 array, cut afterwards."""
     if n == 1:
         return [t, t + max(0.0, model(b, s)) / 1000.0]
     if n <= _SHORT_SPAN:
-        # s_past grows by one per decode step; a mixed step of decode tokens
-        # only keeps its token count, and price. Priced lazily: no step past
-        # the cut is evaluated.
-        prices = model(b, range(s, s + n)) if kind == "decode" else repeat(model(b, s), n)
+        # Priced lazily: no step past the cut is evaluated.
+        prices = model(b, range(s, s + n)) if grows else repeat(model(b, s), n)
         cut = math.inf if arrival_s is None else arrival_s
         bounds = [t]
         for ms in prices:
@@ -454,7 +452,7 @@ def _step_bounds(kind: str, items, t: float, arrival_s: Optional[float], prefill
             if t >= cut:
                 break
         return bounds
-    if kind == "decode":
+    if grows:
         ms = model(b, np.arange(s, s + n, dtype=np.float64))
         durations = np.where(ms > 0.0, ms, 0.0) / 1000.0
     else:
@@ -481,17 +479,16 @@ def _reservation(req: Request, per_token: int, capacity: Optional[KvCapacity]) -
 
 
 class _Seq:
-    """Mutable per-request simulation state."""
+    """Mutable per-request simulation state. When it joins decoding, run()
+    sets base and end: its s_past is then base + clock, and it finishes when
+    run()'s decode clock reaches end (padding's end has passed)."""
 
-    __slots__ = ("req", "reserved", "s_past", "remaining_prompt", "remaining_output",
-                 "first_token_s")
+    __slots__ = ("req", "reserved", "remaining_prompt", "first_token_s", "base", "end")
 
     def __init__(self, req: Request, reserved: int):
         self.req = req
         self.reserved = reserved
-        self.s_past = 0
         self.remaining_prompt = req.input_len
-        self.remaining_output = req.output_len
         self.first_token_s = 0.0
 
 
@@ -501,8 +498,8 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
 
     Each pass pulls arrivals, admits queued requests in FIFO order up to
     policy.admission_limit and the KV capacity, asks policy.step_items for
-    the step's items, prices the run of steps that carry them up to the next
-    event, and applies its tokens, first tokens and completions.
+    the step's kind and prompt chunks, prices the run of steps up to the next
+    event, and applies its chunks, first tokens and completions.
     """
     if not isinstance(coeffs, CoefficientPair):
         raise MissingCoefficientError(
@@ -521,61 +518,93 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
                for req in sorted(trace, key=lambda r: (r.arrival_time_s, r.id))]
     total = math.inf if capacity is None else capacity.total_bytes
     waiting: deque[_Seq] = deque()
-    running: list[_Seq] = []
+    prompting: list[_Seq] = []  # admitted, with prompt left, in FIFO order
+    decoding: list[_Seq] = []  # one token on every decode or mixed step, in join order
     records: list[RequestRecord] = []
     steps = _StepLog()
     t = 0.0
     next_arrival = reserved = peak = generated_tokens = 0
-    while next_arrival < len(pending) or waiting or running:
+    # The decode clock counts decode and mixed steps. top is the largest base
+    # in decoding, next_end the smallest end of a live (not padding) sequence,
+    # live their number.
+    clock = top = live = 0
+    next_end = math.inf
+    while next_arrival < len(pending) or waiting or prompting or decoding:
         while next_arrival < len(pending) and pending[next_arrival].req.arrival_time_s <= t:
             waiting.append(pending[next_arrival])
             next_arrival += 1
-        limit = policy.admission_limit(running)
-        while waiting and len(running) < limit and reserved + waiting[0].reserved <= total:
+        limit = policy.admission_limit(len(decoding))
+        while (waiting and len(prompting) + len(decoding) < limit
+               and reserved + waiting[0].reserved <= total):
             seq = waiting.popleft()
             reserved += seq.reserved
             peak = max(peak, reserved)
-            running.append(seq)
+            prompting.append(seq)
 
         arrival_s = (pending[next_arrival].req.arrival_time_s
                      if next_arrival < len(pending) else None)
-        kind, items = policy.step_items(running, waiting, arrival_s is not None)
-        if not items:
+        kind, chunks = policy.step_items(prompting, len(decoding), waiting,
+                                         arrival_s is not None)
+        width = len(decoding) if kind != "prefill" else 0  # decode tokens per step
+        generated = live if width else 0
+        if chunks:
+            n = 1
+        elif generated:
+            n = next_end - clock
+        elif arrival_s is None:
+            raise RuntimeError(f"{policy!r} stalled: no step to run and no arrival left")
+        else:  # the step would generate no token: wait for the next arrival
             t = max(t, arrival_s)
             continue
-        bounds = _step_bounds(kind, items, t, arrival_s, prefill, decode)
-        n = len(bounds) - 1  # > 1 only for one-token decodes
+        tokens = width + sum(map(_NEW_TOKENS, chunks))
+        point = ((decode, width, top + clock, True) if kind == "decode" else
+                 (prefill, 1, tokens, False) if kind == "mixed" else
+                 (prefill, len(chunks), max(map(_NEW_TOKENS, chunks)), False))
+        bounds = _step_bounds(*point, n, t, arrival_s)
+        n = len(bounds) - 1  # fewer than asked if cut at the next arrival
         t = float(bounds[-1])
+        if width:
+            clock += n
 
-        tokens = generated = 0
         finished: list[_Seq] = []
-        for seq, new_tokens, _ in items:
-            seq.s_past += n * new_tokens
-            tokens += new_tokens
+        if clock == next_end:  # a decoding sequence completes: scan decoding
+            finished = [s for s in decoding if s.end == clock]
+            live -= len(finished)
+            if not policy.pads:
+                decoding = [s for s in decoding if s.end > clock]
+                top = max([s.base for s in decoding], default=0)
+            next_end = min([s.end for s in decoding if s.end > clock], default=math.inf)
+        done = 0
+        for seq, new_tokens in chunks:
+            seq.remaining_prompt -= new_tokens
             if seq.remaining_prompt:
-                seq.remaining_prompt -= new_tokens
-                if seq.remaining_prompt:
-                    continue
-                seq.first_token_s = t
-            elif not seq.remaining_output:
-                continue  # padding in a static batch
-            seq.remaining_output -= n
-            generated += 1
-            if not seq.remaining_output:
+                continue
+            done += 1
+            seq.first_token_s = t
+            generated += 1  # the prefill yields the first token
+            left = seq.req.output_len - 1
+            if not left:
                 finished.append(seq)
+                if not policy.pads:
+                    continue
+            seq.base, seq.end = seq.req.input_len - clock, clock + left
+            top = max(top, seq.base) if decoding else seq.base
+            decoding.append(seq)
+            if left:
+                live += 1
+                next_end = min(next_end, seq.end)
+        del prompting[:done]
+        if not live:
+            decoding = []  # a padded batch ends with its last live sequence
+
         generated_tokens += n * generated
-        steps.add(bounds, kind, len(items), tokens, generated, reserved)
-        if not finished:
-            continue
+        steps.add(bounds, kind, width + len(chunks), tokens, generated, reserved)
         for seq in finished:
             req = seq.req
             records.append(RequestRecord(
                 id=req.id, arrival_s=req.arrival_time_s, first_token_s=seq.first_token_s,
                 completion_s=t, input_len=req.input_len, output_len=req.output_len))
             reserved -= seq.reserved
-        live = [s for s in running if s.remaining_output]
-        if not policy.pads or not live:
-            running = live
 
     return RunResult(
         metrics=compute_metrics(records),

@@ -232,6 +232,19 @@ class TestFitPredict:
         ms = float(out.split(":")[1].strip().removesuffix(" ms"))
         assert ms == pytest.approx(13.37, rel=0.10)
 
+    @pytest.mark.parametrize("b, s", [(8, 512), (1, 1), (8, 0), (0, 8), (-1, 8), (8, -1)])
+    @pytest.mark.parametrize("phase", ["prefill", "decode"])
+    def test_analyze_and_predict_accept_the_same_points(self, capsys, coeff_files,
+                                                         phase, b, s):
+        # The cost model and the runtime model share one domain: a decode
+        # s_past of 0 is an empty cache for both, a prefill s of 0 for neither.
+        coefficients = coeff_files[phase == "decode"]
+        point = ("--model", "llama2-7b", "--phase", phase, "--b", str(b), "--s", str(s))
+        analyzed, _, _ = run_cli(capsys, "analyze", "--hardware", "a800", *point)
+        predicted, _, _ = run_cli(capsys, "predict", "--coefficients", coefficients, *point)
+        assert analyzed == predicted
+        assert analyzed == (0 if b >= 1 and s >= (phase == "prefill") else 2)
+
 
 class TestMemory:
     def test_reports_pinned_plan(self, capsys):

@@ -115,7 +115,9 @@ def test_invalid_workload_rejected():
     with pytest.raises(ValueError):
         prefill_op_costs(TINY, 1, 0)
     with pytest.raises(ValueError):
-        decode_op_costs(TINY, 1, 0)
+        decode_op_costs(TINY, 1, -1)
+    with pytest.raises(ValueError, match="b must be >= 1, got 0"):
+        decode_op_costs(TINY, 0, 2)
     with pytest.raises(TypeError):
         decode_op_costs(TINY, 1, 2, cache_layout="paged")
 

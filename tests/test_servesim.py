@@ -288,6 +288,88 @@ class TestSplitFuseOracle:
         assert result.metrics.completed == 5
 
 
+def _record(r, first_token_s, completion_s):
+    return RequestRecord(r.id, r.arrival_time_s, first_token_s, completion_s,
+                         r.input_len, r.output_len)
+
+
+class TestDecodeClockOracle:
+    """Edge cases of the shared decode clock, traced by hand: the prefill is
+    100 ms and a decode step 4 * b * s_past ms; TINY's cache is 16 B/token.
+    Times are summed left to right, as the engine does."""
+
+    def test_static_batch_ending_at_its_prefill_then_a_second_batch(self):
+        # A and B finish at their prefill, so no padding is left to decode;
+        # C forms the next batch: prefill, then one decode at s_past = 4.
+        a, b, c = trace = [req(0, 3, 1), req(1, 2, 1), req(2, 4, 2)]
+        result = run(Static(2), trace, TINY, ORACLE)
+        t1 = 0.1
+        t2 = t1 + 0.1
+        t3 = t2 + 0.016
+        assert list(result.steps) == [
+            StepRecord(0.0, t1, "prefill", 2, 5, 2, 48 + 32),
+            StepRecord(t1, t2, "prefill", 1, 4, 1, 80),
+            StepRecord(t2, t3, "decode", 1, 1, 1, 80)]
+        assert result.records == (_record(a, t1, t1), _record(b, t1, t1), _record(c, t2, t3))
+        assert result.generated_tokens == 4
+
+    def test_padding_with_the_longest_history_keeps_pricing_the_batch(self):
+        # A (s_past 6) finishes after one decode; as padding its s_past still
+        # sets the price of B's last two steps: s = 7 and 8, not 3 and 4.
+        a, b = trace = [req(0, 6, 2), req(1, 2, 4)]
+        result = run(Static(2), trace, TINY, ORACLE)
+        t1 = 0.1
+        t2 = t1 + 0.048
+        t3 = t2 + 0.056
+        t4 = t3 + 0.064
+        assert list(result.steps) == [
+            StepRecord(0.0, t1, "prefill", 2, 8, 2, 112 + 80),
+            StepRecord(t1, t2, "decode", 2, 2, 2, 112 + 80),
+            StepRecord(t2, t3, "decode", 2, 2, 1, 80),
+            StepRecord(t3, t4, "decode", 2, 2, 1, 80)]
+        assert result.records == (_record(a, t1, t2), _record(b, t1, t4))
+
+    def test_a_decoder_and_a_one_token_prompt_finish_on_one_mixed_step(self):
+        # Step 1: A's whole prompt and 2 of B's. Step 2: A's last token and
+        # B's last 3 prompt tokens, whose prefill is B's only token. The
+        # decoder's record comes first.
+        a, b = trace = [req(0, 2, 2), req(1, 5, 1)]
+        result = run(SplitFuse(4), trace, TINY, ORACLE)
+        t1 = 0.1
+        t2 = t1 + 0.1
+        assert list(result.steps) == [
+            StepRecord(0.0, t1, "mixed", 2, 4, 1, 48 + 80),
+            StepRecord(t1, t2, "mixed", 2, 4, 2, 48 + 80)]
+        assert result.records == (_record(a, t1, t2), _record(b, t2, t2))
+        assert result.generated_tokens == 3
+
+    def test_two_sequences_completing_on_one_step_record_in_admission_order(self):
+        # B has the longer history, so the two joint decodes price at s_past
+        # 5 and 6; both finish on the second, A's record first.
+        a, b = trace = [req(0, 3, 3), req(1, 5, 3)]
+        result = run(Continuous(max_seqs=2), trace, TINY, ORACLE)
+        t1 = 0.1
+        t2 = t1 + 0.1
+        t3 = t2 + 0.04
+        t4 = t3 + 0.048
+        assert list(result.steps) == [
+            StepRecord(0.0, t1, "prefill", 1, 3, 1, 80 + 112),
+            StepRecord(t1, t2, "prefill", 1, 5, 1, 80 + 112),
+            StepRecord(t2, t3, "decode", 2, 2, 2, 80 + 112),
+            StepRecord(t3, t4, "decode", 2, 2, 2, 80 + 112)]
+        assert result.records == (_record(a, t1, t4), _record(b, t2, t4))
+
+    def test_a_policy_that_never_runs_a_step_raises(self):
+        # Waiting is only for an arrival; once none is left, a policy that
+        # still schedules nothing has broken the contract.
+        class NeverAdmits(Continuous):
+            def admission_limit(self, decoding):
+                return 0
+
+        with pytest.raises(RuntimeError, match="stalled"):
+            run(NeverAdmits(max_seqs=2), [req(0, 2, 2), req(1, 2, 2, at=1.0)], TINY, ORACLE)
+
+
 class TestCapacity:
     # TINY's cache is 16 B/token; a request holds input+output-1 tokens.
 

@@ -1,13 +1,16 @@
 """`run` against a step-by-step reference engine.
 
-`reference_run` is the engine loop without decode spans: it prices and
-applies every step on its own. Its pricing, `_price`, is written from the
-table in the servesim docstring on top of `estimator.predict_at` and shares
-no code with the engine's; the scheduling rules are the policies' own
-methods, which both engines call. `run` advances stretches of decode-only
-steps, up to and including the step that completes a sequence, in one
-vectorised span and must still produce exactly the same RunResult - every
-float bit-identical, no tolerance.
+`reference_run` is the engine loop without decode spans or a decode clock:
+it keeps every running sequence's own s_past and remaining counts, and prices
+and applies every step on its own. It shares no code with the engine. Its
+pricing, `_price`, is written from the table in the servesim docstring on
+top of `estimator.predict_at`; its scheduling rules, `admission_limit` and
+`step_items`, are written from the policies' docstrings, so a policy that
+stops charging its budget or padding its batch disagrees with them. `run`
+advances stretches of decode-only steps, up to and including the step that
+completes a sequence, in one span on one shared clock, and must still
+produce exactly the same RunResult - every float bit-identical, no
+tolerance.
 """
 
 import math
@@ -25,7 +28,7 @@ from infercost.arch import MODEL_PRESETS, Phase
 from infercost.costmodel import kv_cache_bytes
 from infercost.estimator import RegressionCoefficients, fit, load_timing_samples, predict_at
 from infercost.hardware import HARDWARE_PRESETS
-from infercost.kvsim import Paged
+from infercost.kvsim import Paged, allocated_tokens
 from infercost.servesim import (
     CoefficientPair,
     Continuous,
@@ -35,8 +38,6 @@ from infercost.servesim import (
     SplitFuse,
     Static,
     StepRecord,
-    _reservation,
-    _Seq,
     compute_metrics,
     describe_policy,
     run,
@@ -80,10 +81,69 @@ def _price(kind, items, cfg, coeffs) -> float:
     return max(0.0, ms) / 1000.0
 
 
+class _RefSeq:
+    """A running request in the reference engine, advanced token by token."""
+
+    def __init__(self, r, reserved):
+        self.req = r
+        self.reserved = reserved
+        self.s_past = 0
+        self.remaining_prompt = r.input_len
+        self.remaining_output = r.output_len
+        self.first_token_s = 0.0
+
+
+def _reserved(r, per_token, capacity) -> int:
+    """The most KV cache the request will hold: input + output - 1 tokens."""
+    tokens = r.input_len + r.output_len - 1
+    return per_token * (tokens if capacity is None else allocated_tokens(capacity.layout, tokens))
+
+
+def admission_limit(policy, running) -> int:
+    """How many sequences may be running once the FIFO admissions are done."""
+    if isinstance(policy, Static):
+        # Static fills an empty batch and admits nothing once it has prefilled.
+        started = running and not running[0].remaining_prompt
+        return 0 if started else policy.batch_size
+    if isinstance(policy, Continuous):
+        return policy.max_seqs
+    return policy.token_budget  # SplitFuse: one decode token per sequence fits
+
+
+def step_items(policy, running, waiting, more_arrivals):
+    """The next step's kind and its (sequence, new_tokens, s_past) items; no
+    items means wait for the next arrival."""
+    if isinstance(policy, Static):
+        # One prefill of the whole batch once it is full or nothing more can
+        # join it, then decode steps over every sequence, finished ones too.
+        if running and not running[0].remaining_prompt:
+            return "decode", [(s, 1, s.s_past) for s in running]
+        if len(running) < policy.batch_size and not waiting and more_arrivals:
+            return "prefill", []
+        return "prefill", [(s, s.remaining_prompt, s.s_past) for s in running]
+    if isinstance(policy, Continuous):
+        # An exclusive prefill of the oldest unprefilled sequence, else one
+        # decode step over all of them.
+        prompts = [s for s in running if s.remaining_prompt]
+        if prompts:
+            return "prefill", [(prompts[0], prompts[0].remaining_prompt, prompts[0].s_past)]
+        return "decode", [(s, 1, s.s_past) for s in running]
+    # SplitFuse: one token per decoding sequence, then prompt chunks in FIFO
+    # order, all within token_budget tokens.
+    items = [(s, 1, s.s_past) for s in running if not s.remaining_prompt]
+    budget = policy.token_budget - len(items)
+    for s in running:
+        chunk = min(s.remaining_prompt, budget)
+        if chunk:
+            items.append((s, chunk, s.s_past))
+            budget -= chunk
+    return "mixed", items
+
+
 def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
     """The engine loop one step at a time, with no decode spans."""
     per_token = kv_cache_bytes(cfg, 1, 1)
-    pending = [_Seq(r, _reservation(r, per_token, capacity))
+    pending = [_RefSeq(r, _reserved(r, per_token, capacity))
                for r in sorted(trace, key=lambda r: (r.arrival_time_s, r.id))]
     total = math.inf if capacity is None else capacity.total_bytes
     waiting: deque = deque()
@@ -96,14 +156,14 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
         while next_arrival < len(pending) and pending[next_arrival].req.arrival_time_s <= t:
             waiting.append(pending[next_arrival])
             next_arrival += 1
-        limit = policy.admission_limit(running)
+        limit = admission_limit(policy, running)
         while waiting and len(running) < limit and reserved + waiting[0].reserved <= total:
             seq = waiting.popleft()
             reserved += seq.reserved
             peak = max(peak, reserved)
             running.append(seq)
 
-        kind, items = policy.step_items(running, waiting, next_arrival < len(pending))
+        kind, items = step_items(policy, running, waiting, next_arrival < len(pending))
         if not items:
             t = max(t, pending[next_arrival].req.arrival_time_s)
             continue
@@ -137,8 +197,8 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
                 completion_s=t, input_len=r.input_len, output_len=r.output_len))
             reserved -= seq.reserved
         live = [s for s in running if s.remaining_output]
-        if not policy.pads or not live:
-            running = live
+        if not isinstance(policy, Static) or not live:
+            running = live  # only a static batch keeps its finished sequences
 
     return RunResult(compute_metrics(records), tuple(records), tuple(steps),
                      generated_tokens, peak,
