@@ -19,6 +19,12 @@ decode_op_costs splice the attention row (in decode, the cache-update row and
 then attention) in after QkvProj and Rope. The tests check that the result
 follows PREFILL_OP_ORDER and DECODE_OP_ORDER.
 
+Decode's token-wise rows depend only on (cfg, b), not on s_past, so they are
+built once per (cfg, b) and shared by every decode call at that pair, from a
+cache of at most 256 pairs. OpCost is frozen, so a shared row cannot be
+changed; each call still returns a new list. Prefill builds its rows on every
+call, since its t = b*s changes with s.
+
 FLOPs count 2 per multiply-accumulate, 6 per rotary pair, a lump 4 per
 attention-score element for scale+softmax, 5 per element for residual-add +
 RMSNorm, and 2 per element for Swish+multiply. MOPs are an ideal single-pass
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Union
 
@@ -163,6 +170,10 @@ def _token_ops(cfg: ModelConfig, t: int) -> tuple[OpCost, ...]:
     )
 
 
+# Bounded, so that a sweep over many (cfg, b) pairs does not grow the process.
+_decode_token_ops = lru_cache(maxsize=256)(_token_ops)
+
+
 def _attention(cfg: ModelConfig, b: int, q: int, k: int) -> OpCost:
     """b sequences, each attending q new tokens over k keys: read Q, K and V,
     write the output, and write then read the b x n x q x k score matrix."""
@@ -199,22 +210,32 @@ def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int
 def decode_op_costs(cfg: ModelConfig, b: int, s_past: int,
                     cache_layout: CacheLayout = Paged()) -> list[OpCost]:
     """Per-operation costs of one decoder layer generating one token per
-    sequence with s_past cached tokens each; 0 is an empty cache (no scores)."""
+    sequence with s_past cached tokens each; 0 is an empty cache (no scores).
+
+    The eight token-wise rows are built once per (cfg, b) and shared between
+    calls; only the cache-update and attention rows depend on s_past."""
     _require_nonnegative("b and s_past", b, s_past)
     if not b:
         _require_positive("b", b)
     cache_mops = cache_update_mops(cache_layout, cfg, b, s_past)
-    qkv, rope, *rest = _token_ops(cfg, b)
+    qkv, rope, *rest = _decode_token_ops(cfg, b)
     return [qkv, rope, OpCost(OpKind.CACHE_UPDATE, 0, cache_mops),
             _attention(cfg, b, 1, s_past), *rest]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelCost:
     """Whole-stack totals: num_layers times the sums of one layer's costs."""
 
     total_flops: int
     total_mops: int
+
+    def __init__(self, total_flops: int, total_mops: int) -> None:
+        # Written by hand, as OpCost's is.
+        if total_flops < 0 or total_mops < 0:
+            raise ValueError("total_flops and total_mops must be non-negative")
+        fields = self.__dict__
+        fields["total_flops"], fields["total_mops"] = total_flops, total_mops
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -235,8 +256,8 @@ _kind, _flops, _mops = attrgetter("kind"), attrgetter("flops"), attrgetter("mops
 
 def aggregate(layer_costs: list[OpCost], cfg: ModelConfig) -> ModelCost:
     """Whole-stack totals of one layer's per-op costs; each op kind at most once."""
-    kinds = list(map(_kind, layer_costs))
-    if len(set(kinds)) < len(kinds):
+    if len(set(map(_kind, layer_costs))) < len(layer_costs):
+        kinds = list(map(_kind, layer_costs))
         duplicate = next(kind for kind in kinds if kinds.count(kind) > 1)
         raise ValueError(f"duplicate op kind in layer costs: {duplicate}")
     l = cfg.num_layers

@@ -78,7 +78,7 @@ _COMPUTE_BOUND, _MEMORY_BOUND = BoundKind.COMPUTE_BOUND, BoundKind.MEMORY_BOUND
 
 def attainable_flops(ai: float, hw: HardwareSpec) -> float:
     """Roofline curve: attainable FLOP/s at a given arithmetic intensity."""
-    if ai < 0:
+    if not ai >= 0:  # NaN fails too
         raise ValueError(f"arithmetic intensity must be >= 0, got {ai}")
     return min(float(hw.peak_flops_per_s), ai * hw.bandwidth_bytes_per_s)
 

@@ -23,7 +23,7 @@ class ReservedOverflowError(ValueError):
     """A sequence outgrew the Vanilla layout's reserved length."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CacheStats:
     """Byte accounting at one observation point: allocated = live + wasted."""
 
@@ -31,11 +31,17 @@ class CacheStats:
     live_bytes: int
     wasted_bytes: int
 
-    def __post_init__(self) -> None:
-        for name in ("allocated_bytes", "live_bytes", "wasted_bytes"):
-            _require_nonnegative(name, getattr(self, name))
-        if self.allocated_bytes != self.live_bytes + self.wasted_bytes:
+    def __init__(self, allocated_bytes: int, live_bytes: int, wasted_bytes: int) -> None:
+        # Written by hand, as costmodel.OpCost's is: the generated frozen
+        # __init__ pays one object.__setattr__ per field.
+        _require_nonnegative("allocated_bytes", allocated_bytes)
+        _require_nonnegative("live_bytes", live_bytes)
+        _require_nonnegative("wasted_bytes", wasted_bytes)
+        if allocated_bytes != live_bytes + wasted_bytes:
             raise ValueError("allocated_bytes must equal live_bytes + wasted_bytes")
+        fields = self.__dict__
+        fields["allocated_bytes"], fields["live_bytes"], fields["wasted_bytes"] = (
+            allocated_bytes, live_bytes, wasted_bytes)
 
 
 def allocated_tokens(layout: CacheLayout, length: int) -> int:

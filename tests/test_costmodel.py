@@ -161,6 +161,29 @@ def test_model_cost_intensity_follows_opcost_rule(flops, mops):
     assert total.arithmetic_intensity == OpCost(OpKind.QKV_PROJ, flops, mops).arithmetic_intensity
 
 
+def test_model_cost_rejects_negative_totals():
+    with pytest.raises(ValueError, match="non-negative"):
+        ModelCost(-5, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        ModelCost(total_flops=5, total_mops=-3)
+    with pytest.raises(ValueError, match="non-negative"):
+        dataclasses.replace(ModelCost(10, 4), total_flops=-1)
+
+
+def test_model_cost_keeps_the_dataclass_contract():
+    total = ModelCost(10, 4)
+    assert total == ModelCost(total_flops=10, total_mops=4) != ModelCost(10, 5)
+    assert [f.name for f in dataclasses.fields(ModelCost)] == ["total_flops", "total_mops"]
+    assert dataclasses.replace(total, total_mops=5) == ModelCost(10, 5)
+    assert dataclasses.astuple(total) == (10, 4)
+    assert hash(total) == hash((10, 4)) == hash(ModelCost(10, 4))
+    assert repr(total) == "ModelCost(total_flops=10, total_mops=4)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        total.total_flops = 11
+    with pytest.raises(TypeError):
+        ModelCost(10)
+
+
 # --- scaling properties ------------------------------------------------------
 
 @given(b=st.integers(1, 16), s=st.integers(1, 512))
@@ -195,16 +218,45 @@ def test_decode_only_attention_and_cache_depend_on_history(s_past):
     assert later["Attention"].flops == s_past * base["Attention"].flops
 
 
-@given(b=st.integers(1, 64), s_past=st.integers(1, 4096),
+@st.composite
+def model_configs(draw):
+    """A valid ModelConfig: hidden_size = num_heads * head_dim."""
+    heads, head_dim = draw(st.integers(1, 64)), draw(st.integers(1, 256))
+    return ModelConfig(hidden_size=heads * head_dim,
+                       intermediate_size=draw(st.integers(1, 32768)),
+                       num_heads=heads, head_dim=head_dim,
+                       num_layers=draw(st.integers(1, 96)),
+                       bytes_per_scalar=draw(st.sampled_from([1, 2, 4])))
+
+
+def token_wise(costs):
+    return {name: cost for name, cost in by_kind(costs).items()
+            if name not in ("Attention", "CacheUpdate")}
+
+
+@given(cfg=model_configs(), b=st.integers(1, 64), s_past=st.integers(0, 4096),
        layout=st.sampled_from([Paged(16), Vanilla(8192), TokenGranular()]))
 @settings(max_examples=60, deadline=None)
-def test_decode_token_wise_rows_equal_prefill_of_one_token(b, s_past, layout):
-    decode = by_kind(decode_op_costs(LLAMA7B, b, s_past, cache_layout=layout))
-    prefill = by_kind(prefill_op_costs(LLAMA7B, b, 1))
-    assert set(decode) - set(prefill) == {"CacheUpdate"}
-    for name, cost in prefill.items():
-        if name != "Attention":
-            assert decode[name] == cost, name
+def test_decode_token_wise_rows_equal_prefill_of_one_token(cfg, b, s_past, layout):
+    # Both phases have t = b here. TINY at the same b checks that decode rows
+    # shared between calls belong to the config asked for, not only to b.
+    for model in (cfg, TINY):
+        decode = decode_op_costs(model, b, s_past, cache_layout=layout)
+        prefill = prefill_op_costs(model, b, 1)
+        assert set(by_kind(decode)) - set(by_kind(prefill)) == {"CacheUpdate"}
+        assert token_wise(decode) == token_wise(prefill)
+
+
+def test_decode_calls_return_fresh_lists_of_frozen_rows():
+    first = decode_op_costs(LLAMA7B, 8, 512)
+    want = list(first)
+    first.reverse()
+    first.pop()
+    second = decode_op_costs(LLAMA7B, 8, 512)
+    assert second == want and second is not first
+    assert token_wise(decode_op_costs(LLAMA7B, 8, 0)) == token_wise(want)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        second[0].flops = 0
 
 
 def test_cache_update_layout_sensitivity():

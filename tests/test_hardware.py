@@ -88,9 +88,13 @@ class TestAttainable:
         ridge = ridge_point(A800)
         assert attainable_flops(ridge, A800) == pytest.approx(312e12, rel=1e-12)
 
-    def test_negative_ai_rejected(self):
+    @pytest.mark.parametrize("ai", [-1.0, float("nan")])
+    def test_negative_ai_rejected(self, ai):
         with pytest.raises(ValueError, match=">= 0"):
-            attainable_flops(-1.0, A800)
+            attainable_flops(ai, A800)
+
+    def test_infinite_ai_reaches_the_peak(self):
+        assert attainable_flops(float("inf"), A800) == 3.12e14
 
     @given(ai=st.floats(0, 1e9, allow_nan=False))
     def test_never_exceeds_either_roof(self, ai):

@@ -1,5 +1,7 @@
 """Cache layout allocation math, per-step traffic, footprints, concurrency."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -163,6 +165,25 @@ class TestFootprint:
     def test_cache_stats_identity_enforced(self):
         with pytest.raises(ValueError, match="live_bytes \\+ wasted_bytes"):
             CacheStats(allocated_bytes=10, live_bytes=5, wasted_bytes=4)
+
+    def test_cache_stats_keeps_the_dataclass_contract(self):
+        stats = CacheStats(10, 6, 4)
+        assert stats == CacheStats(allocated_bytes=10, live_bytes=6, wasted_bytes=4)
+        assert stats != CacheStats(10, 7, 3)
+        assert [f.name for f in dataclasses.fields(CacheStats)] == [
+            "allocated_bytes", "live_bytes", "wasted_bytes"]
+        assert dataclasses.replace(stats, live_bytes=7, wasted_bytes=3) == CacheStats(10, 7, 3)
+        assert hash(stats) == hash((10, 6, 4)) == hash(CacheStats(10, 6, 4))
+        assert repr(stats) == "CacheStats(allocated_bytes=10, live_bytes=6, wasted_bytes=4)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.live_bytes = 7
+        # replace runs the checks again.
+        with pytest.raises(ValueError, match="live_bytes \\+ wasted_bytes"):
+            dataclasses.replace(stats, live_bytes=7)
+        with pytest.raises(ValueError, match="wasted_bytes must be >= 0"):
+            dataclasses.replace(stats, live_bytes=11, wasted_bytes=-1)
+        with pytest.raises(ValueError, match="live_bytes must be an integer"):
+            dataclasses.replace(stats, live_bytes=6.0)
 
 
 class TestMaxConcurrency:
