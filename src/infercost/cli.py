@@ -91,10 +91,15 @@ _LAYOUTS = {"vanilla": lambda args: Vanilla(reserved_len=args.reserved_len),
             "token": lambda args: TokenGranular()}
 
 
-def _op_costs(cfg, b: int, s: int, phase: Phase, layout):
+def _op_costs(args):
+    """(cfg, hw, ops): the model, hardware and layer op costs analyze and roofline show."""
+    cfg = resolve_model(args.model)
+    hw = resolve_hardware(args.hardware)
+    phase = Phase(args.phase)
+    layout = _LAYOUTS[args.layout](args)
     if phase is Phase.PREFILL:
-        return costmodel.prefill_op_costs(cfg, b, s)
-    return costmodel.decode_op_costs(cfg, b, s, cache_layout=layout)
+        return cfg, hw, costmodel.prefill_op_costs(cfg, args.b, args.s)
+    return cfg, hw, costmodel.decode_op_costs(cfg, args.b, args.s, cache_layout=layout)
 
 
 def _count(text: str) -> int:
@@ -155,11 +160,7 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_analyze(args) -> int:
-    cfg = resolve_model(args.model)
-    hw = resolve_hardware(args.hardware)
-    phase = Phase(args.phase)
-    layout = _LAYOUTS[args.layout](args)
-    ops = _op_costs(cfg, args.b, args.s, phase, layout)
+    cfg, hw, ops = _op_costs(args)
 
     rows = []
     for op in ops:
@@ -180,7 +181,7 @@ def cmd_analyze(args) -> int:
         hardware.classify(total, hw).value,
         _f2(hardware.lower_bound_time(total, hw) * 1e3),
     ))
-    title = (f"{phase.value} op costs: model={args.model} hw={hw.name} "
+    title = (f"{args.phase} op costs: model={args.model} hw={hw.name} "
              f"b={args.b} s={args.s} (per-layer rows)")
     headers = ("Op", "GFLOPs", "MB moved", "AI (FLOP/B)", "Bound", "Min time (ms)")
     _emit(_render_table(title, headers, rows, args.format), args.out)
@@ -255,11 +256,7 @@ def roofline_svg(ops, hw) -> str:
 
 
 def cmd_roofline(args) -> int:
-    cfg = resolve_model(args.model)
-    hw = resolve_hardware(args.hardware)
-    phase = Phase(args.phase)
-    layout = _LAYOUTS[args.layout](args)
-    ops = _op_costs(cfg, args.b, args.s, phase, layout)
+    _, hw, ops = _op_costs(args)
     _emit(roofline_csv(ops, hw), args.out)
     if args.svg:
         Path(args.svg).write_text(roofline_svg(ops, hw), encoding="utf-8")

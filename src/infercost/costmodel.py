@@ -1,5 +1,6 @@
 """Per-operation FLOPs, modeled memory traffic (MOPs) and arithmetic
-intensity for one decoder layer, in both phases, plus KV-cache footprint.
+intensity for one decoder layer, in both phases, plus KV-cache footprint and
+the KV-cache layouts.
 
 Every row comes from one of three formulas, which the two phases call with
 different arguments (w = bytes_per_scalar):
@@ -25,6 +26,10 @@ cache of at most 256 pairs. OpCost is frozen, so a shared row cannot be
 changed; each call still returns a new list. Prefill builds its rows on every
 call, since its t = b*s changes with s.
 
+The KV-cache layouts (Vanilla, Paged, TokenGranular) are CacheLayouts that
+carry their own allocation and copy rules; cache_update_mops and kvsim only
+apply them.
+
 FLOPs count 2 per multiply-accumulate, 6 per rotary pair, a lump 4 per
 attention-score element for scale+softmax, 5 per element for residual-add +
 RMSNorm, and 2 per element for Swish+multiply. MOPs are an ideal single-pass
@@ -42,8 +47,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
-from typing import Union
+from itertools import repeat
+from operator import attrgetter, floordiv
 
 from .arch import ModelConfig, _require_nonnegative, _require_positive
 
@@ -107,8 +112,11 @@ class OpCost:
     def __init__(self, kind: OpKind, flops: int, mops: int) -> None:
         # Written by hand: the generated frozen __init__ pays one
         # object.__setattr__ per field and a __post_init__ frame per row.
-        if flops < 0 or mops < 0:
-            raise ValueError("flops and mops must be non-negative")
+        # arch._require_nonnegative's rule (an int, not a bool), written inline
+        # so that a row pays no extra call.
+        if type(flops) is not int or type(mops) is not int or flops < 0 or mops < 0:
+            raise ValueError(f"flops and mops must be non-negative integers, "
+                             f"got {flops!r} and {mops!r}")
         fields = self.__dict__
         fields["kind"], fields["flops"], fields["mops"] = kind, flops, mops
 
@@ -117,33 +125,71 @@ class OpCost:
         return _intensity(self.flops, self.mops)
 
 
-# KV-cache layouts. They are defined here because decode_op_costs dispatches
-# on them; kvsim imports them for its allocation math.
+class ReservedOverflowError(ValueError):
+    """A sequence outgrew the Vanilla layout's reserved length."""
+
+
+class CacheLayout:
+    """A KV-cache layout: a frozen dataclass with the only rules the cost
+    model and kvsim ask for. allocated(length): the tokens' worth of cache a
+    sequence of length tokens occupies (length is an int >= 0, checked by
+    the caller). total_allocated(lengths): its sum over a non-empty list of
+    lengths. copies: whether an append copies the whole cache (s_past + 1
+    tokens per sequence) instead of writing only the new token."""
+
+    copies = False
+
+
+def _require_layout(layout) -> None:
+    if not isinstance(layout, CacheLayout):
+        raise TypeError(f"unknown cache layout: {layout!r}")
+
 
 @dataclass(frozen=True)
-class Vanilla:
-    """Contiguous cache re-allocated and copied on every append."""
+class Vanilla(CacheLayout):
+    """Contiguous reserved_len-token cache per sequence, copied on every append."""
     reserved_len: int
+    copies = True
 
     def __post_init__(self) -> None:
         _require_positive("reserved_len", self.reserved_len)
 
+    def allocated(self, length: int) -> int:
+        if length > self.reserved_len:
+            raise ReservedOverflowError(
+                f"sequence of {length} tokens exceeds reserved_len={self.reserved_len}")
+        return self.reserved_len
+
+    def total_allocated(self, lengths: list[int]) -> int:
+        # Every sequence reserves reserved_len; only the longest can overflow.
+        return self.allocated(max(lengths)) * len(lengths)
+
 
 @dataclass(frozen=True)
-class Paged:
+class Paged(CacheLayout):
     """Fixed-size block allocation; appends touch only the new token."""
     block_size: int = 16
 
     def __post_init__(self) -> None:
         _require_positive("block_size", self.block_size)
 
+    def allocated(self, length: int) -> int:
+        return -(length // -self.block_size) * self.block_size  # exact ceil
+
+    def total_allocated(self, lengths: list[int]) -> int:
+        # Sum of the exact ceilings -(length // -block), in one C pass.
+        return -sum(map(floordiv, lengths, repeat(-self.block_size))) * self.block_size
+
 
 @dataclass(frozen=True)
-class TokenGranular:
+class TokenGranular(CacheLayout):
     """Per-token allocation; appends touch only the new token."""
 
+    def allocated(self, length: int) -> int:
+        return length
 
-CacheLayout = Union[Vanilla, Paged, TokenGranular]
+    def total_allocated(self, lengths: list[int]) -> int:
+        return sum(lengths)
 
 
 # The token-wise kinds in layer order. Unpacking them is cheaper than reading
@@ -193,17 +239,13 @@ def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int
     """Bytes one layer's cache update moves when b sequences with s_past cached
     tokens each append one token.
 
-    Vanilla reallocates and copies: both full caches are read and rewritten
-    along with the appended token (2 tensors x read+write x h x b x
-    (s_past + 1) scalars). Paged and TokenGranular are append-only: only the
-    new k, v vectors are written (and read back).
+    A layout that copies (Vanilla) reads and rewrites both full caches along
+    with the appended token (2 tensors x read+write x h x b x (s_past + 1)
+    scalars). An append-only layout (Paged, TokenGranular) writes only the
+    new k, v vectors (and reads them back).
     """
-    if isinstance(layout, Vanilla):
-        tokens = s_past + 1
-    elif isinstance(layout, (Paged, TokenGranular)):
-        tokens = 1
-    else:
-        raise TypeError(f"unknown cache layout: {layout!r}")
+    _require_layout(layout)
+    tokens = s_past + 1 if layout.copies else 1
     return cfg.bytes_per_scalar * 2 * 2 * cfg.hidden_size * b * tokens
 
 
@@ -232,8 +274,10 @@ class ModelCost:
 
     def __init__(self, total_flops: int, total_mops: int) -> None:
         # Written by hand, as OpCost's is.
-        if total_flops < 0 or total_mops < 0:
-            raise ValueError("total_flops and total_mops must be non-negative")
+        if (type(total_flops) is not int or type(total_mops) is not int
+                or total_flops < 0 or total_mops < 0):
+            raise ValueError(f"total_flops and total_mops must be non-negative integers, "
+                             f"got {total_flops!r} and {total_mops!r}")
         fields = self.__dict__
         fields["total_flops"], fields["total_mops"] = total_flops, total_mops
 
@@ -272,7 +316,7 @@ def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
 
 __all__ = [
     "OpKind", "OpCost", "ModelCost", "CacheLayout", "Vanilla", "Paged",
-    "TokenGranular", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
+    "TokenGranular", "ReservedOverflowError", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
     "LINEAR_PROJECTIONS", "prefill_op_costs", "decode_op_costs", "aggregate",
     "kv_cache_bytes",
 ]

@@ -11,11 +11,7 @@ features with fitted coefficients:
 
 Each feature is an exact integer, b*s (or b) times a per-config integer
 factor such as h^2*l, rounded once to float64. A prediction adds the
-coefficient-feature products left to right. The decode model also takes an
-int64 array of context lengths s and then returns one prediction per entry,
-each bit-identical to the scalar call at that s: the integer products are
-exact either way, int64 -> float64 rounds like float(), and the element-wise
-adds follow the same order.
+coefficient-feature products left to right.
 
 A serving run prices many steps with one (coeffs, cfg). _step_time builds
 that model once, with the factors precomputed and no input checks per call;
@@ -54,7 +50,6 @@ from .arch import (DimensionMismatchError, ModelConfig, Phase, _parse_int, _pars
                    _require_nonnegative, _require_positive)
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
-_INT64_MAX = np.iinfo(np.int64).max
 _FLOAT64_EXACT = 2 ** 53  # float64 holds every integer up to this magnitude
 
 PREFILL_COEFF_NAMES: tuple[str, ...] = ("alpha", "beta", "gamma", "eta", "lambda", "mu")
@@ -133,29 +128,12 @@ def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
     return tuple(map(float, _prefill_terms(_prefill_factors(cfg), b, s)))
 
 
-def _exact_float(x):
-    """float(x) of an int; the same round-to-nearest per entry of an int64 array."""
-    return x.astype(np.float64) if isinstance(x, np.ndarray) else float(x)
-
-
-def decode_features(cfg: ModelConfig, b: int, s) -> tuple:
-    """Decode features at context length s: an int, or an int64 array giving
-    one float64 array per s-dependent feature. s = 0 is an empty cache."""
-    h, n, l = cfg.hidden_size, cfg.num_heads, cfg.num_layers
+def decode_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
+    """Decode features at context length s; s = 0 is an empty cache."""
     _require_positive("b", b)
-    if not isinstance(s, np.ndarray):
-        _require_nonnegative("s", s)
-    elif s.dtype != np.int64:
-        raise ValueError(f"an s array must be int64, got {s.dtype}")
-    elif s.size:
-        top = int(s.view(np.uint64).max())  # one pass: a negative s reads as >= 2**63
-        if top > _INT64_MAX:
-            raise ValueError(f"s must be >= 0, got {s.min()}")
-        if b * top * max(h, n) * l > _INT64_MAX:
-            raise OverflowError("decode features overflow int64 at this s")
+    _require_nonnegative("s", s)
     hl, nl = _decode_factors(cfg)
-    to_float = _exact_float if isinstance(s, np.ndarray) else float
-    return tuple(map(to_float, _decode_terms(s, b * hl, b * nl)))
+    return tuple(map(float, _decode_terms(s, b * hl, b * nl)))
 
 
 def features_for(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[float, ...]:
@@ -166,18 +144,17 @@ def features_for(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[float,
 
 def _weighted_sum(values, features):
     # An explicit left-to-right add: sum() compensates float sums on Python
-    # >= 3.12 but not array sums, which would split the scalar and array paths.
+    # >= 3.12 but not array sums, which would split predict_at from
+    # _step_time's array prices.
     total = 0.0
     for c, f in zip(values, features):
         total = total + c * f
     return total
 
 
-def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int,
-               s) -> float | np.ndarray:
-    """Predicted milliseconds at (b, s); a decode int64 s array gives an array."""
-    total = _weighted_sum(coeffs.values, features_for(cfg, b, s, coeffs.phase))
-    return total if isinstance(total, np.ndarray) else float(total)
+def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int, s: int) -> float:
+    """Predicted milliseconds at (b, s)."""
+    return _weighted_sum(coeffs.values, features_for(cfg, b, s, coeffs.phase))
 
 
 def _step_time(coeffs: RegressionCoefficients, cfg: ModelConfig):

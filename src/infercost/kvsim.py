@@ -1,26 +1,19 @@
-"""KV-cache memory modeling under three layout disciplines.
+"""KV-cache byte accounting under a costmodel.CacheLayout: footprint and
+waste, per-step update traffic, and the concurrency ceiling beside the
+weights.
 
-Vanilla keeps one contiguous buffer per sequence and reallocates-and-copies
-the whole cache on every append; Paged allocates fixed-size token blocks and
-appends in place; TokenGranular allocates exactly one token at a time. The
-layouts differ in per-step traffic (copy vs append) and in allocation waste
-(reservation / block rounding / none).
+The layouts (Vanilla's reserve-and-copy, Paged's blocks, TokenGranular's
+single tokens) carry their own allocation and copy rules; this module only
+turns the tokens they allocate into bytes; its code names no layout class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import floordiv
 
 from .arch import ModelConfig, _require_nonnegative, _require_positive
-from .costmodel import (CacheLayout, Paged, TokenGranular, Vanilla, cache_update_mops,
-                        kv_cache_bytes)
+from .costmodel import CacheLayout, _require_layout, cache_update_mops, kv_cache_bytes
 from .hardware import HardwareSpec
-
-
-class ReservedOverflowError(ValueError):
-    """A sequence outgrew the Vanilla layout's reserved length."""
 
 
 @dataclass(frozen=True, init=False)
@@ -47,21 +40,8 @@ class CacheStats:
 def allocated_tokens(layout: CacheLayout, length: int) -> int:
     """Tokens' worth of cache a sequence of `length` tokens occupies."""
     _require_nonnegative("sequence length", length)
-    return _allocated_tokens(layout, length)
-
-
-def _allocated_tokens(layout: CacheLayout, length: int) -> int:
-    """allocated_tokens for a length already checked to be an int >= 0."""
-    if isinstance(layout, Vanilla):
-        if length > layout.reserved_len:
-            raise ReservedOverflowError(
-                f"sequence of {length} tokens exceeds reserved_len={layout.reserved_len}")
-        return layout.reserved_len
-    if isinstance(layout, Paged):
-        return -(length // -layout.block_size) * layout.block_size  # exact ceil
-    if isinstance(layout, TokenGranular):
-        return length
-    raise TypeError(f"unknown cache layout: {layout!r}")
+    _require_layout(layout)
+    return layout.allocated(length)
 
 
 def cache_step_bytes(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int) -> int:
@@ -82,18 +62,8 @@ def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> Cac
         raise ValueError(f"sequence lengths must be integers, got {bad!r}")
     if min(seq_lens) < 0:
         raise ValueError("sequence lengths must be >= 0")
-    live = sum(seq_lens)
-    if isinstance(layout, Vanilla):
-        # Every sequence reserves reserved_len; only the longest can overflow.
-        allocated = _allocated_tokens(layout, max(seq_lens)) * len(seq_lens)
-    elif isinstance(layout, Paged):
-        # Sum of the exact ceilings -(length // -block), in one C pass.
-        block = layout.block_size
-        allocated = -sum(map(floordiv, seq_lens, repeat(-block))) * block
-    elif isinstance(layout, TokenGranular):
-        allocated = live
-    else:
-        raise TypeError(f"unknown cache layout: {layout!r}")
+    _require_layout(layout)
+    live, allocated = sum(seq_lens), layout.total_allocated(seq_lens)
     per_token = kv_cache_bytes(cfg, 1, 1)
     return CacheStats(allocated_bytes=per_token * allocated, live_bytes=per_token * live,
                       wasted_bytes=per_token * (allocated - live))
@@ -114,11 +84,12 @@ def max_concurrency(layout: CacheLayout, cfg: ModelConfig, hw: HardwareSpec,
     the weights in hw memory. Zero is a valid answer."""
     free = _free_kv_bytes(hw, model_weight_bytes)
     _require_positive("per_seq_len", per_seq_len)
-    per_seq_bytes = kv_cache_bytes(cfg, 1, 1) * _allocated_tokens(layout, per_seq_len)
+    _require_layout(layout)
+    per_seq_bytes = kv_cache_bytes(cfg, 1, 1) * layout.allocated(per_seq_len)
     return free // per_seq_bytes
 
 
 __all__ = [
-    "CacheStats", "ReservedOverflowError", "allocated_tokens", "cache_step_bytes",
+    "CacheStats", "allocated_tokens", "cache_step_bytes",
     "footprint", "max_concurrency",
 ]

@@ -76,10 +76,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arch import ModelConfig, Phase, _require_nonnegative, _require_positive
-from .costmodel import kv_cache_bytes
+from .costmodel import CacheLayout, ReservedOverflowError, _require_layout, kv_cache_bytes
 from .estimator import RegressionCoefficients, _require_exact, _step_time
 from .hardware import HardwareSpec
-from .kvsim import CacheLayout, ReservedOverflowError, _free_kv_bytes, allocated_tokens
+from .kvsim import _free_kv_bytes, allocated_tokens
 
 
 class CapacityError(ValueError):
@@ -227,6 +227,7 @@ class KvCapacity:
     total_bytes: int
 
     def __post_init__(self) -> None:
+        _require_layout(self.layout)
         _require_nonnegative("total_bytes", self.total_bytes)
 
     @classmethod

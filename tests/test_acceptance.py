@@ -12,6 +12,7 @@ import numpy as np
 
 from oracles import brute_prefill_flops
 
+from infercost import Paged, Vanilla
 from infercost.arch import MODEL_PRESETS, ModelConfig, Phase
 from infercost.costmodel import (
     DECODE_OP_ORDER,
@@ -28,7 +29,7 @@ from infercost.estimator import (
     predict_at,
 )
 from infercost.hardware import HARDWARE_PRESETS, BoundKind, classify, ridge_point
-from infercost.kvsim import Paged, Vanilla, cache_step_bytes
+from infercost.kvsim import cache_step_bytes
 from infercost.servesim import (
     Continuous,
     CoefficientPair,

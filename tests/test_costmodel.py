@@ -170,6 +170,17 @@ def test_model_cost_rejects_negative_totals():
         dataclasses.replace(ModelCost(10, 4), total_flops=-1)
 
 
+@pytest.mark.parametrize("flops, mops", [(math.nan, 4), (2.5, 4), (True, 4),
+                                         (10, math.nan), (10, 4.0), (10, False)])
+def test_counts_must_be_integers(flops, mops):
+    with pytest.raises(ValueError, match="flops and mops must be non-negative integers"):
+        OpCost(OpKind.ROPE, flops, mops)
+    with pytest.raises(ValueError, match="must be non-negative integers"):
+        ModelCost(flops, mops)
+    with pytest.raises(ValueError, match="must be non-negative integers"):
+        dataclasses.replace(ModelCost(10, 4), total_flops=flops, total_mops=mops)
+
+
 def test_model_cost_keeps_the_dataclass_contract():
     total = ModelCost(10, 4)
     assert total == ModelCost(total_flops=10, total_mops=4) != ModelCost(10, 5)

@@ -98,13 +98,10 @@ class TestPredict:
         coeffs = RegressionCoefficients(Phase.PREFILL, (0, 0, 0, 0, 0, 41.5))
         assert predict_at(coeffs, LLAMA7B, 16, 2048) == 41.5
 
-    def test_decode_array_overflowing_int64_is_rejected(self):
-        with pytest.raises(OverflowError, match="int64"):
-            decode_features(LLAMA7B, 8, np.array([1, 2**45], dtype=np.int64))
-
     @pytest.mark.parametrize("phase", list(Phase))
     @pytest.mark.parametrize("b, s", [(0, 512), (-4, 512), (2.5, 10), (True, 3), (None, 3),
-                                      (8, -1), (8, 2.0), (8, True)])
+                                      (8, -1), (8, 2.0), (8, True),
+                                      (8, np.array([1, 2], dtype=np.int64))])
     def test_counts_without_meaning_are_rejected(self, phase, b, s):
         coeffs = RegressionCoefficients(phase, (1.0,) * len(coeff_names(phase)))
         with pytest.raises(ValueError, match=r"^[bs]"):
@@ -117,34 +114,9 @@ class TestPredict:
     def test_decode_over_an_empty_cache_is_priced(self):
         coeffs = RegressionCoefficients(Phase.DECODE, (2.23e-9, 1.75e-11, 1.63e-8, 11.2))
         assert predict_at(coeffs, LLAMA7B, 1, 0) == 1.63e-8 * 4096 * 32 + 11.2
-        assert predict_at(coeffs, LLAMA7B, 1, np.zeros(2, dtype=np.int64)).tolist() == [
-            predict_at(coeffs, LLAMA7B, 1, 0)] * 2
-
-    @pytest.mark.parametrize("s, match", [
-        (np.array([1, -1], dtype=np.int64), "s must be >= 0, got -1"),
-        (np.array([1, 2], dtype=np.int32), "must be int64, got int32"),
-        (np.array([1.0, 2.0]), "must be int64, got float64"),
-    ])
-    def test_decode_s_array_must_be_nonnegative_int64(self, s, match):
-        with pytest.raises(ValueError, match=match):
-            decode_features(LLAMA7B, 8, s)
 
 
 FINITE = st.floats(-1e3, 1e3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(values=st.tuples(FINITE, FINITE, FINITE, FINITE),
-       cfg=st.sampled_from([LLAMA7B, ModelConfig(4, 8, 2, 2, 1),
-                            ModelConfig(5120, 13824, 40, 128, 40)]),
-       b=st.integers(1, 256), s=st.lists(st.integers(0, 200_000), min_size=1, max_size=40))
-def test_decode_predict_at_array_equals_scalar_calls(values, cfg, b, s):
-    coeffs = RegressionCoefficients(Phase.DECODE, values)
-    scaled = tuple(v * 10.0 ** -e for v, e in zip(values, (9, 7, 6, 0)))
-    for c in (coeffs, RegressionCoefficients(Phase.DECODE, scaled)):
-        got = predict_at(c, cfg, b, np.array(s, dtype=np.int64))
-        assert got.dtype == np.float64
-        assert got.tolist() == [predict_at(c, cfg, b, x) for x in s]
 
 
 def _bits(values) -> list[str]:

@@ -1,20 +1,18 @@
 """Cache layout allocation math, per-step traffic, footprints, concurrency."""
 
 import dataclasses
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infercost import CacheLayout, Paged, ReservedOverflowError, TokenGranular, Vanilla
 from infercost.arch import ModelConfig
 from infercost.costmodel import kv_cache_bytes
 from infercost.hardware import HARDWARE_PRESETS, HardwareSpec
 from infercost.kvsim import (
     CacheStats,
-    Paged,
-    ReservedOverflowError,
-    TokenGranular,
-    Vanilla,
     allocated_tokens,
     cache_step_bytes,
     footprint,
@@ -66,12 +64,6 @@ class TestAllocatedTokens:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             allocated_tokens(TokenGranular(), -1)
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(TypeError, match="unknown cache layout"):
-            allocated_tokens("paged", 4)
-        with pytest.raises(TypeError, match="unknown cache layout"):
-            footprint("paged", UNIT, [4])
 
     @given(length=st.integers(0, 100_000), block=st.integers(1, 64))
     def test_paged_never_below_token_granular(self, length, block):
@@ -139,6 +131,10 @@ class TestFootprint:
         assert stats.allocated_bytes == per_token * 4096
         assert stats.live_bytes == per_token * 1024
         assert stats.wasted_bytes == per_token * 3072
+
+    def test_vanilla_overflows_at_its_longest_sequence(self):
+        with pytest.raises(ReservedOverflowError, match="9 tokens exceeds reserved_len=8"):
+            footprint(Vanilla(8), UNIT, [4, 9, 2])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -227,6 +223,51 @@ class TestMaxConcurrency:
         per_seq = kv_cache_bytes(LLAMA7B, 1, 1) * length
         assert weight + m * per_seq <= A800.memory_bytes
         assert weight + (m + 1) * per_seq > A800.memory_bytes
+
+
+# Each call takes a layout; a KvCapacity checks its layout where it is built,
+# not at the first reservation.
+LAYOUT_CALLS = {
+    "allocated_tokens": lambda layout: allocated_tokens(layout, 4),
+    "footprint": lambda layout: footprint(layout, UNIT, [4]),
+    "cache_step_bytes": lambda layout: cache_step_bytes(layout, UNIT, 1, 1),
+    "max_concurrency": lambda layout: max_concurrency(layout, LLAMA7B, A800,
+                                                      13_500_000_000, 2048),
+    "KvCapacity": lambda layout: KvCapacity(layout, 10**9),
+}
+
+
+@pytest.mark.parametrize("layout", ["paged", None, Paged], ids=["str", "None", "class"])
+@pytest.mark.parametrize("call", list(LAYOUT_CALLS.values()), ids=list(LAYOUT_CALLS))
+def test_unknown_layout_rejected(call, layout):
+    with pytest.raises(TypeError, match="unknown cache layout"):
+        call(layout)
+
+
+@dataclass(frozen=True)
+class Doubled(CacheLayout):
+    """A layout that no module names: two tokens' worth per token, copied on
+    every append."""
+
+    copies = True
+
+    def allocated(self, length):
+        return 2 * length
+
+    def total_allocated(self, lengths):
+        return 2 * sum(lengths)
+
+
+def test_a_new_layout_is_one_class():
+    layout, per_token = Doubled(), kv_cache_bytes(UNIT, 1, 1)
+    assert allocated_tokens(layout, 5) == 10
+    assert footprint(layout, UNIT, [3, 4]) == CacheStats(14 * per_token, 7 * per_token,
+                                                         7 * per_token)
+    assert cache_step_bytes(layout, UNIT, 1, 511) == cache_step_bytes(Vanilla(4096), UNIT,
+                                                                      1, 511)
+    assert (max_concurrency(layout, LLAMA7B, A800, 13_500_000_000, 1024)
+            == max_concurrency(TokenGranular(), LLAMA7B, A800, 13_500_000_000, 2048))
+    assert KvCapacity(layout, 10**9).layout is layout
 
 
 # Each call passes a float or a bool where a token or sequence count belongs.

@@ -12,11 +12,11 @@ from decimal import Decimal
 
 import pytest
 
+from infercost import Paged
 from infercost.arch import Phase
 from infercost.costmodel import DECODE_OP_ORDER, PREFILL_OP_ORDER, decode_op_costs
 from infercost.estimator import load_timing_samples
 from infercost.hardware import HARDWARE_PRESETS, load_hardware
-from infercost.kvsim import Paged
 from infercost.arch import MODEL_PRESETS
 
 LLAMA7B = MODEL_PRESETS["llama2-7b"]

@@ -19,7 +19,8 @@ from infercost import servesim
 from infercost.arch import MODEL_PRESETS, ModelConfig, Phase
 from infercost.estimator import RegressionCoefficients, TimingSample, coeff_names
 from infercost.hardware import HARDWARE_PRESETS
-from infercost.kvsim import Paged, TokenGranular, Vanilla, allocated_tokens
+from infercost import Paged, TokenGranular, Vanilla
+from infercost.kvsim import allocated_tokens
 from infercost.servesim import (
     EMPTY_METRICS,
     METRICS_CSV_HEADER,

@@ -28,7 +28,8 @@ from infercost.arch import MODEL_PRESETS, Phase
 from infercost.costmodel import kv_cache_bytes
 from infercost.estimator import RegressionCoefficients, fit, load_timing_samples, predict_at
 from infercost.hardware import HARDWARE_PRESETS
-from infercost.kvsim import Paged, allocated_tokens
+from infercost import Paged
+from infercost.kvsim import allocated_tokens
 from infercost.servesim import (
     CoefficientPair,
     Continuous,
