@@ -1,4 +1,13 @@
-"""Model architecture description shared by all modules.
+"""Model architecture description shared by all modules, and the rules every
+module applies to input values.
+
+The rules: a count is an int (never a bool), a real is a finite int or float
+(never a bool), and a JSON object holds its required keys and no other.
+_require_positive, _require_nonnegative, _require_real and _require_keys
+state them; OpCost, ModelCost and Request write a rule inline where they are
+built per row or per request, and say so. A constructor checks its own
+fields, so a loader checks a file's keys and passes the values it read
+straight to the constructor.
 
 Formula notation used in docstrings throughout the package: h = hidden size,
 h' = intermediate (FFN) size, n = number of attention heads, d = head
@@ -10,6 +19,7 @@ field names.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -84,6 +94,29 @@ def _require_nonnegative(what: str, *values) -> None:
             raise ValueError(f"{what} must be >= 0, got {value}")
 
 
+def _require_real(what: str, value) -> None:
+    """Raise ValueError unless value is a finite int or float (numpy float64
+    is a float); a bool, a Fraction or a string is not. An int too large for
+    a float raises OverflowError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def _require_keys(data, what: str, required, optional=(), error=ValueError) -> dict:
+    """Return data if it is a JSON object (a dict) holding every required key
+    and no key outside required and optional; raise `error` otherwise."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data).difference(required, optional))
+    if unknown:
+        raise error(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise error(f"missing {what} keys: {', '.join(missing)}")
+    return data
+
+
 def _parse_int(what: str, text: str) -> int:
     """An integer written in ASCII decimal digits, after an optional "-"."""
     # int() also takes "1_6", " 64 ", "+16" and non-ASCII digits.
@@ -124,15 +157,8 @@ _MODEL_JSON_KEYS = ("hidden_size", "intermediate_size", "num_heads", "head_dim",
 
 def model_config_from_dict(data: dict) -> ModelConfig:
     """Build a validated ModelConfig from a JSON object; unknown keys rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"model config must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(_MODEL_JSON_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
-    missing = [k for k in _MODEL_JSON_KEYS[:5] if k not in data]
-    if missing:
-        raise ConfigError(f"missing model config keys: {', '.join(missing)}")
-    return ModelConfig(**data)
+    return ModelConfig(**_require_keys(data, "model config", _MODEL_JSON_KEYS[:5],
+                                       _MODEL_JSON_KEYS[5:], ConfigError))
 
 
 def load_model_config(path: str | Path) -> ModelConfig:

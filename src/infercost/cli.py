@@ -159,28 +159,17 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 # Subcommands
 
 
+def _cost_row(label: str, cost, hw) -> tuple[str, ...]:
+    """One analyze row for an OpCost or a ModelCost."""
+    return (label, _f2(cost.flops / 1e9), _f2(cost.mops / 1e6),
+            _f2(cost.arithmetic_intensity), hardware.classify(cost, hw).value,
+            _f2(hardware.lower_bound_time(cost, hw) * 1e3))
+
+
 def cmd_analyze(args) -> int:
     cfg, hw, ops = _op_costs(args)
-
-    rows = []
-    for op in ops:
-        rows.append((
-            op.kind.value,
-            _f2(op.flops / 1e9),
-            _f2(op.mops / 1e6),
-            "inf" if math.isinf(op.arithmetic_intensity) else _f2(op.arithmetic_intensity),
-            hardware.classify(op, hw).value,
-            _f2(hardware.lower_bound_time(op, hw) * 1e3),
-        ))
-    total = aggregate(ops, cfg)
-    rows.append((
-        f"Total x{cfg.num_layers} layers",
-        _f2(total.total_flops / 1e9),
-        _f2(total.total_mops / 1e6),
-        _f2(total.arithmetic_intensity),
-        hardware.classify(total, hw).value,
-        _f2(hardware.lower_bound_time(total, hw) * 1e3),
-    ))
+    rows = [_cost_row(op.kind.value, op, hw) for op in ops]
+    rows.append(_cost_row(f"Total x{cfg.num_layers} layers", aggregate(ops, cfg), hw))
     title = (f"{args.phase} op costs: model={args.model} hw={hw.name} "
              f"b={args.b} s={args.s} (per-layer rows)")
     headers = ("Op", "GFLOPs", "MB moved", "AI (FLOP/B)", "Bound", "Min time (ms)")

@@ -241,11 +241,16 @@ def cache_update_mops(layout: CacheLayout, cfg: ModelConfig, b: int, s_past: int
 
     A layout that copies (Vanilla) reads and rewrites both full caches along
     with the appended token (2 tensors x read+write x h x b x (s_past + 1)
-    scalars). An append-only layout (Paged, TokenGranular) writes only the
-    new k, v vectors (and reads them back).
+    scalars); s_past + 1 tokens past its reservation raise
+    ReservedOverflowError, as they do in footprint. An append-only layout
+    (Paged, TokenGranular) writes only the new k, v vectors (and reads them
+    back).
     """
     _require_layout(layout)
-    tokens = s_past + 1 if layout.copies else 1
+    tokens = 1
+    if layout.copies:
+        tokens = s_past + 1
+        layout.allocated(tokens)  # Vanilla raises past its reservation
     return cfg.bytes_per_scalar * 2 * 2 * cfg.hidden_size * b * tokens
 
 

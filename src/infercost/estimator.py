@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -47,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import (DimensionMismatchError, ModelConfig, Phase, _parse_int, _parse_number,
-                   _require_nonnegative, _require_positive)
+                   _require_keys, _require_nonnegative, _require_positive, _require_real)
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 _FLOAT64_EXACT = 2 ** 53  # float64 holds every integer up to this magnitude
@@ -71,8 +69,9 @@ class TimingSample:
 
     def __post_init__(self) -> None:
         _require_positive("b and s", self.b, self.s)
-        if not (self.measured_ms > 0 and math.isfinite(self.measured_ms)):
-            raise ValueError(f"measured_ms must be finite and > 0, got {self.measured_ms}")
+        _require_real("measured_ms", self.measured_ms)
+        if not self.measured_ms > 0:
+            raise ValueError(f"measured_ms must be > 0, got {self.measured_ms!r}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,7 @@ class RegressionCoefficients:
                 f"{self.phase.value} coefficients need {expected} values, "
                 f"got {len(self.values)}")
         for name, value in zip(coeff_names(self.phase), self.values):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{self.phase.value} coefficient {name} must be a "
-                                 f"finite number, got {value!r}")
+            _require_real(f"{self.phase.value} coefficient {name}", value)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def named(self) -> dict[str, float]:
@@ -281,13 +277,11 @@ def coefficients_to_dict(coeffs: RegressionCoefficients) -> dict:
 
 
 def coefficients_from_dict(data: dict) -> RegressionCoefficients:
-    if "phase" not in data:
-        raise ValueError("coefficients object needs a 'phase' key")
+    """Coefficients from a JSON object: "phase" and that phase's names only."""
+    _require_keys(data, "coefficients", ("phase",), PREFILL_COEFF_NAMES + DECODE_COEFF_NAMES)
     phase = Phase(data["phase"])
     names = coeff_names(phase)
-    missing = [n for n in names if n not in data]
-    if missing:
-        raise ValueError(f"missing {phase.value} coefficients: {', '.join(missing)}")
+    _require_keys(data, f"{phase.value} coefficient", ("phase", *names))
     return RegressionCoefficients(phase, tuple(data[n] for n in names))
 
 

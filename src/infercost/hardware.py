@@ -14,6 +14,7 @@ from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 
+from .arch import _require_keys
 from .costmodel import OpCost
 
 
@@ -114,14 +115,7 @@ def _exact_scaled_int(value, scale: int, field: str) -> int:
 
 
 def hardware_from_dict(data: dict) -> HardwareSpec:
-    if not isinstance(data, dict):
-        raise HardwareError(f"hardware file must hold a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(_HW_JSON_KEYS))
-    if unknown:
-        raise HardwareError(f"unknown hardware keys: {', '.join(unknown)}")
-    missing = [k for k in _HW_JSON_KEYS if k not in data]
-    if missing:
-        raise HardwareError(f"missing hardware keys: {', '.join(missing)}")
+    _require_keys(data, "hardware", _HW_JSON_KEYS, error=HardwareError)
     return HardwareSpec(
         name=str(data["name"]),
         memory_bytes=_exact_scaled_int(data["memory_gb"], _GB, "memory_gb"),

@@ -63,7 +63,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import operator
 from collections import deque
 from collections.abc import Sequence
@@ -75,7 +74,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arch import ModelConfig, Phase, _require_nonnegative, _require_positive
+from .arch import ModelConfig, Phase, _require_nonnegative, _require_positive, _require_real
 from .costmodel import CacheLayout, ReservedOverflowError, _require_layout, kv_cache_bytes
 from .estimator import RegressionCoefficients, _require_exact, _step_time
 from .hardware import HardwareSpec
@@ -100,9 +99,14 @@ class Request:
     def __post_init__(self) -> None:
         _require_positive(f"request {self.id}: input_len and output_len",
                           self.input_len, self.output_len)
-        if not (math.isfinite(self.arrival_time_s) and self.arrival_time_s >= 0):
-            raise ValueError(f"request {self.id}: arrival_time_s must be finite and >= 0, "
-                             f"got {self.arrival_time_s!r}")
+        at = self.arrival_time_s
+        # arch._require_real's rule, written inline as OpCost writes the count
+        # rule: a sweep builds a Request per request per rate.
+        if not isinstance(at, (int, float)) or isinstance(at, bool) or not math.isfinite(at):
+            raise ValueError(f"request {self.id}: arrival_time_s must be a finite number, "
+                             f"got {at!r}")
+        if at < 0:
+            raise ValueError(f"request {self.id}: arrival_time_s must be >= 0, got {at!r}")
 
 
 class SchedulingPolicy:
@@ -631,11 +635,10 @@ def _checked_rates(rates) -> list[float]:
     """The rates as floats, if they are finite, positive and distinct."""
     rates = list(rates)
     for i, rate in enumerate(rates):
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise ValueError(f"rates must be real numbers, got {rate!r}")
+        _require_real("rates", rate)
         rates[i] = rate = float(rate)
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"rates must be finite and positive, got {rate!r}")
+        if rate <= 0:
+            raise ValueError(f"rates must be positive, got {rate!r}")
         if rate in rates[:i]:
             raise ValueError(f"rate {rate!r} is repeated")
     return rates

@@ -10,21 +10,21 @@ range (inclusive bounds):
 
 Traces serialize as JSON Lines with one request per line:
   {"input_tokens": <int>, "output_tokens": <int>, "arrival_s": <float>}
-arrival_s is optional and defaults to 0 on load. Loading is strict: token
-counts must be JSON integers (not booleans, floats or strings) and arrival_s
-a finite, non-negative JSON number.
+arrival_s is optional and defaults to 0 on load. Loading is strict: a line
+is a JSON object with no other keys, and its values go to Request as read, so
+Request's own checks are the trace's rules (token counts are integers >= 1,
+never booleans, floats or strings; arrival_s is a finite int or float >= 0).
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 from contextlib import nullcontext
 
 import numpy as np
 
-from .arch import _require_nonnegative
+from .arch import _require_keys, _require_nonnegative
 from .servesim import Request
 
 
@@ -66,20 +66,6 @@ def save_trace(trace, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _json_int(record: dict, key: str) -> int:
-    value = record[key]
-    if type(value) is not int:  # bool is an int subclass; 3.0 and "3" are not ints
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_seconds(record: dict, key: str) -> float:
-    value = record.get(key, 0.0)
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite JSON number, got {value!r}")
-    return float(value)
-
-
 def load_trace(path) -> list[Request]:
     """Parse a JSONL trace; errors carry the 1-based line number."""
     trace: list[Request] = []
@@ -88,26 +74,14 @@ def load_trace(path) -> list[Request]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = _require_keys(json.loads(line), "trace record",
+                                       ("input_tokens", "output_tokens"), ("arrival_s",))
+                trace.append(Request(len(trace), record["input_tokens"],
+                                     record["output_tokens"], record.get("arrival_s", 0.0)))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            unknown = set(record) - {"input_tokens", "output_tokens", "arrival_s"}
-            if unknown:
-                raise ValueError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
-            try:
-                req = Request(
-                    id=len(trace),
-                    input_len=_json_int(record, "input_tokens"),
-                    output_len=_json_int(record, "output_tokens"),
-                    arrival_time_s=_json_seconds(record, "arrival_s"),
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
             except (OverflowError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            trace.append(req)
     return trace
 
 

@@ -203,7 +203,7 @@ class TestFitPredict:
                                "--phase", "decode", "--timing", str(timing),
                                "--out", str(out_json))
         assert code == 2
-        assert "line 8: measured_ms must be finite" in err
+        assert "line 8: measured_ms must be a finite number, got inf" in err
         assert not out_json.exists()
 
     def test_predict_phase_mismatch(self, capsys, tmp_path, coeff_files):
@@ -232,18 +232,33 @@ class TestFitPredict:
         ms = float(out.split(":")[1].strip().removesuffix(" ms"))
         assert ms == pytest.approx(13.37, rel=0.10)
 
-    @pytest.mark.parametrize("b, s", [(8, 512), (1, 1), (8, 0), (0, 8), (-1, 8), (8, -1)])
+    @pytest.mark.parametrize("b, s, layout", [
+        *(pytest.param(b, s, (), id=f"{b}-{s}")
+          for b, s in [(8, 512), (1, 1), (8, 0), (0, 8), (-1, 8), (8, -1)]),
+        # A reservation that holds exactly the appended token's s + 1.
+        pytest.param(8, 512, ("--layout", "vanilla", "--reserved-len", "513"),
+                     id="8-512-vanilla"),
+        pytest.param(8, 0, ("--layout", "vanilla", "--reserved-len", "1"), id="8-0-vanilla"),
+    ])
     @pytest.mark.parametrize("phase", ["prefill", "decode"])
     def test_analyze_and_predict_accept_the_same_points(self, capsys, coeff_files,
-                                                         phase, b, s):
+                                                         phase, b, s, layout):
         # The cost model and the runtime model share one domain: a decode
         # s_past of 0 is an empty cache for both, a prefill s of 0 for neither.
         coefficients = coeff_files[phase == "decode"]
         point = ("--model", "llama2-7b", "--phase", phase, "--b", str(b), "--s", str(s))
-        analyzed, _, _ = run_cli(capsys, "analyze", "--hardware", "a800", *point)
+        analyzed, _, _ = run_cli(capsys, "analyze", "--hardware", "a800", *layout, *point)
         predicted, _, _ = run_cli(capsys, "predict", "--coefficients", coefficients, *point)
         assert analyzed == predicted
         assert analyzed == (0 if b >= 1 and s >= (phase == "prefill") else 2)
+
+    def test_analyze_refuses_a_decode_past_the_vanilla_reservation(self, capsys):
+        # s = 100 cached tokens plus the appended one do not fit in 64.
+        code, out, err = run_cli(capsys, "analyze", "--model", "llama2-7b",
+                                 "--hardware", "a800", "--phase", "decode",
+                                 "--layout", "vanilla", "--reserved-len", "64", "--s", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: sequence of 101 tokens exceeds reserved_len=64\n"
 
 
 class TestMemory:
@@ -444,7 +459,7 @@ class TestSimulate:
                                  "--rates", "1,inf")
         assert code == 2
         assert out == ""
-        assert "rates must be finite and positive, got inf" in err
+        assert "rates must be a finite number, got inf" in err
 
     @pytest.mark.parametrize("rates", ["1_0,2", " 2", "2 ", "2, 8"])
     def test_sweep_rejects_a_rate_float_would_coerce(self, capsys, coeff_files, rates):

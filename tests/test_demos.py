@@ -44,7 +44,7 @@ def test_rate_sweep_rejects_a_rate_float_would_coerce(tmp_path):
 
 
 @pytest.mark.parametrize("rates, message", [
-    ("1,inf", "rates must be finite and positive, got inf"),
+    ("1,inf", "rates must be a finite number, got inf"),
     ("1,1", "rate 1.0 is repeated"),
 ])
 def test_rate_sweep_rejects_an_infinite_or_repeated_rate(tmp_path, rates, message):

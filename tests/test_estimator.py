@@ -1,7 +1,10 @@
 """Feature construction, least-squares fitting, prediction, and persistence."""
 
+import json
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,7 +85,8 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError, match="6 values"):
             RegressionCoefficients(Phase.PREFILL, (1.0, 2.0))
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "1.5", None])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, "1.5", None,
+                                     Fraction(1, 3)])
     def test_coefficients_must_be_finite_numbers(self, bad):
         with pytest.raises(ValueError, match="decode coefficient omega"):
             RegressionCoefficients(Phase.DECODE, (1.0, 2.0, bad, 4.0))
@@ -241,10 +245,16 @@ class TestFitErrors:
         with pytest.raises(ValueError, match="measured_ms"):
             TimingSample(Phase.DECODE, 1, 8, 0.0)
 
-    @pytest.mark.parametrize("ms", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("ms", [math.inf, math.nan, -math.inf, True, Fraction(1, 3),
+                                    Decimal("1.5"), "1.5"])
     def test_sample_time_must_be_finite(self, ms):
-        with pytest.raises(ValueError, match="measured_ms must be finite"):
+        # A bool is not a time, and a Fraction or a Decimal is not a float64.
+        with pytest.raises(ValueError, match="measured_ms must be a finite number"):
             TimingSample(Phase.DECODE, 1, 8, ms)
+
+    @pytest.mark.parametrize("ms", [2, 2.5, np.float64(2.5)], ids=repr)
+    def test_sample_time_may_be_an_int_or_a_float(self, ms):
+        assert TimingSample(Phase.DECODE, 1, 8, ms).measured_ms == ms
 
 
 class TestReferenceMeasurementFits:
@@ -306,7 +316,7 @@ class TestPersistence:
     def test_timing_csv_rejects_non_finite_times(self, tmp_path, time_ms):
         path = tmp_path / "bad.csv"
         path.write_text(f"phase,b,s,time_ms\nprefill,1,1,1.0\nprefill,2,1,{time_ms}\n")
-        with pytest.raises(ValueError, match="line 3: measured_ms must be finite"):
+        with pytest.raises(ValueError, match="line 3: measured_ms must be a finite number"):
             load_timing_samples(path)
 
     @pytest.mark.parametrize("row, message", [
@@ -345,7 +355,7 @@ class TestPersistence:
         }
 
     def test_coefficients_dict_missing_names(self):
-        with pytest.raises(ValueError, match="missing decode coefficients: nu"):
+        with pytest.raises(ValueError, match="missing decode coefficient keys: nu"):
             coefficients_from_dict({"phase": "decode", "phi": 1, "psi": 2, "omega": 3})
 
     @pytest.mark.parametrize("bad", [True, False, "4.0", None, [4.0]])
@@ -362,8 +372,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match="decode coefficient phi"):
             load_coefficients(path)
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"bogus": 1}, "unknown coefficients keys: bogus"),
+        ({"alpha": 1}, "unknown decode coefficient keys: alpha"),
+        ({"alpha": 1, "bogus": 1}, "unknown coefficients keys: bogus"),
+    ])
+    def test_coefficients_json_rejects_unknown_keys(self, tmp_path, extra, message):
+        # A prefill name in a decode file, or a misspelt one, is not ignored.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"phase": "decode", "phi": 1, "psi": 0, "omega": 0,
+                                    "nu": 1, **extra}))
+        with pytest.raises(ValueError, match=message):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize("data", [[], "decode", None], ids=repr)
+    def test_coefficients_must_be_a_json_object(self, data):
+        with pytest.raises(ValueError, match="coefficients must be a JSON object"):
+            coefficients_from_dict(data)
+
     def test_coefficients_dict_missing_phase(self):
-        with pytest.raises(ValueError, match="'phase'"):
+        with pytest.raises(ValueError, match="missing coefficients keys: phase"):
             coefficients_from_dict({"phi": 1})
 
 

@@ -97,6 +97,17 @@ class TestCacheStepBytes:
         # 2 tensors * read+write * 2 B * 4096 * 32 layers * b=8
         assert cache_step_bytes(Paged(16), LLAMA7B, 8, 511) == 2 * 2 * 2 * 4096 * 32 * 8
 
+    def test_vanilla_is_not_priced_past_its_reservation(self):
+        # An append at s_past grows a sequence to s_past + 1 tokens, which
+        # footprint refuses past reserved_len; the step price refuses it too.
+        assert cache_step_bytes(Vanilla(64), LLAMA7B, 1, 63) == 64 * 2 * 2 * 2 * 4096 * 32
+        footprint(Vanilla(64), LLAMA7B, [64])
+        for s_past in (64, 100):
+            with pytest.raises(ReservedOverflowError, match=f"{s_past + 1} tokens"):
+                cache_step_bytes(Vanilla(64), LLAMA7B, 1, s_past)
+            with pytest.raises(ReservedOverflowError):
+                footprint(Vanilla(64), LLAMA7B, [s_past + 1])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="b must be >= 1"):
             cache_step_bytes(Paged(16), UNIT, 0, 1)

@@ -9,6 +9,9 @@ import csv
 import gc
 import io
 import json
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,11 +71,18 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="arrival_time_s"):
             req(0, 1, 1, at=-0.5)
 
-    @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), -float("inf"), True, False,
+                                    Fraction(1, 3), Decimal("0.5"), "0.5", None])
     def test_arrival_must_be_finite(self, at):
-        # A NaN arrival is never <= the clock, so run() would wait for it forever.
-        with pytest.raises(ValueError, match="arrival_time_s must be finite"):
+        # A NaN arrival is never <= the clock, so run() would wait for it
+        # forever. A bool is not a time, and run() would copy a Fraction or a
+        # Decimal into RequestRecord.arrival_s.
+        with pytest.raises(ValueError, match="arrival_time_s must be a finite number"):
             req(0, 1, 1, at=at)
+
+    @pytest.mark.parametrize("at", [0, 2, 2.5, np.float64(2.5), -0.0], ids=repr)
+    def test_arrival_may_be_an_int_or_a_float(self, at):
+        assert req(0, 1, 1, at=at).arrival_time_s == at
 
 
 class TestPolicyValidation:
@@ -518,7 +528,8 @@ class TestSweepRates:
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_rates_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match=f"finite and positive, got {bad!r}"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"rates must be a finite number, got {bad!r}")):
             sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [1.0, bad],
                         TINY, ORACLE)
 
@@ -528,10 +539,11 @@ class TestSweepRates:
             sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [2, 1.0, 2.0],
                         TINY, ORACLE)
 
-    @pytest.mark.parametrize("bad", [True, "2", None])
+    @pytest.mark.parametrize("bad", [True, "2", None, Fraction(1, 2)])
     def test_rates_must_be_real_numbers(self, bad):
         # float() would sweep True at 1.0 and "2" at 2.0.
-        with pytest.raises(ValueError, match=f"rates must be real numbers, got {bad!r}"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"rates must be a finite number, got {bad!r}")):
             sweep_rates(Continuous(max_seqs=2), [req(0, 1, 1)], [1.0, bad],
                         TINY, ORACLE)
 

@@ -1,8 +1,13 @@
 """Scenario trace generation bounds, determinism, and JSONL persistence."""
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from infercost.servesim import Request
 from infercost.workload import (
@@ -76,6 +81,18 @@ class TestGenerate:
             generate("short-to-short", n)
 
 
+# Request's messages, which load_trace prefixes with path:line.
+_COUNTS = "request 1: input_len and output_len must be an integer, got "
+_ARRIVAL = "request 1: arrival_time_s must be "
+
+
+# Every kind of JSON scalar, with the edges of each: bools, floats with nan
+# and inf, ints too large for a float, strings and null.
+_JSON_SCALARS = st.one_of(
+    st.integers(-3, 3), st.integers(), st.sampled_from([2**53 + 1, 10**400, -10**400]),
+    st.floats(), st.booleans(), st.text(max_size=3), st.none())
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         trace = [Request(id=0, input_len=4, output_len=2, arrival_time_s=0.25),
@@ -104,7 +121,7 @@ class TestPersistence:
     def test_unknown_keys_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"input_tokens": 1, "output_tokens": 1, "priority": 9}\n')
-        with pytest.raises(ValueError, match=r":1: unknown keys \['priority'\]"):
+        with pytest.raises(ValueError, match=":1: unknown trace record keys: priority"):
             load_trace(path)
 
     def test_missing_key_rejected(self, tmp_path):
@@ -116,7 +133,7 @@ class TestPersistence:
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.raises(ValueError, match="expected a JSON object"):
+        with pytest.raises(ValueError, match=":1: trace record must be a JSON object, got list"):
             load_trace(path)
 
     def test_invalid_lengths_rejected(self, tmp_path):
@@ -126,24 +143,46 @@ class TestPersistence:
             load_trace(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("input_tokens", 3.7, "input_tokens must be a JSON integer"),
-        ("input_tokens", 3.0, "input_tokens must be a JSON integer"),
-        ("input_tokens", "3", "input_tokens must be a JSON integer"),
-        ("output_tokens", True, "output_tokens must be a JSON integer"),
-        ("output_tokens", None, "output_tokens must be a JSON integer"),
-        ("arrival_s", "2", "arrival_s must be a finite JSON number"),
-        ("arrival_s", False, "arrival_s must be a finite JSON number"),
-        ("arrival_s", float("nan"), "arrival_s must be a finite JSON number"),
-        ("arrival_s", float("inf"), "arrival_s must be a finite JSON number"),
+        ("input_tokens", 3.7, _COUNTS + "3.7"),
+        ("input_tokens", 3.0, _COUNTS + "3.0"),
+        ("input_tokens", "3", _COUNTS + "'3'"),
+        ("output_tokens", True, _COUNTS + "True"),
+        ("output_tokens", None, _COUNTS + "None"),
+        ("arrival_s", "2", _ARRIVAL + "a finite number, got '2'"),
+        ("arrival_s", False, _ARRIVAL + "a finite number, got False"),
+        ("arrival_s", float("nan"), _ARRIVAL + "a finite number, got nan"),
+        ("arrival_s", float("inf"), _ARRIVAL + "a finite number, got inf"),
+        ("arrival_s", -0.5, _ARRIVAL + ">= 0, got -0.5"),
         ("arrival_s", 10**400, "int too large to convert to float"),
     ])
     def test_values_parse_strictly(self, tmp_path, field, value, message):
         record = {"input_tokens": 3, "output_tokens": 2, "arrival_s": 0.5, field: value}
         path = tmp_path / "trace.jsonl"
         path.write_text('{"input_tokens": 1, "output_tokens": 1}\n' + json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match=f"trace.jsonl:2: {message}") as info:
+        with pytest.raises(ValueError, match=re.escape(f"trace.jsonl:2: {message}")) as info:
             load_trace(path)
         assert str(path) in str(info.value)
+
+    # Half the counts drawn are valid, so the arrival's rule is reached often.
+    @given(input_tokens=st.one_of(st.integers(1, 64), _JSON_SCALARS),
+           output_tokens=st.one_of(st.integers(1, 64), _JSON_SCALARS),
+           arrival_s=_JSON_SCALARS)
+    @example(input_tokens=1, output_tokens=1, arrival_s=True)
+    def test_load_trace_raises_iff_request_does(self, input_tokens, output_tokens, arrival_s):
+        # The loader checks no value itself: a line loads exactly when
+        # Request takes its values, and fails with Request's message.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            path.write_text(json.dumps({"input_tokens": input_tokens,
+                                        "output_tokens": output_tokens,
+                                        "arrival_s": arrival_s}) + "\n")
+            try:
+                expected = Request(0, input_tokens, output_tokens, arrival_s)
+            except (OverflowError, ValueError) as exc:
+                with pytest.raises(ValueError, match=re.escape(f"{path}:1: {exc}")):
+                    load_trace(path)
+            else:
+                assert load_trace(path) == [expected]
 
     def test_generated_trace_survives_round_trip(self, tmp_path):
         trace = generate(Scenario.LONG_TO_SHORT, 64, seed=5)
