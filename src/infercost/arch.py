@@ -4,10 +4,10 @@ module applies to input values.
 The rules: a count is an int (never a bool), a real is a finite int or float
 (never a bool), and a JSON object holds its required keys and no other.
 _require_positive, _require_nonnegative, _require_real and _require_keys
-state them; OpCost, ModelCost and Request write a rule inline where they are
-built per row or per request, and say so. A constructor checks its own
-fields, so a loader checks a file's keys and passes the values it read
-straight to the constructor.
+state them; OpCost, ModelCost, CacheStats and Request write a rule inline
+where they are built per row or per request, and say so. A constructor checks
+its own fields, so a loader checks a file's keys and passes the values it read
+straight to the constructor; an error from a JSON file names the file.
 
 Formula notation used in docstrings throughout the package: h = hidden size,
 h' = intermediate (FFN) size, n = number of attention heads, d = head
@@ -98,9 +98,13 @@ def _require_real(what: str, value) -> None:
     """Raise ValueError unless value is a finite int or float (numpy float64
     is a float); a bool, a Fraction or a string is not. An int too large for
     a float raises OverflowError."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and math.isfinite(value):
+            return
+    except OverflowError:
+        raise OverflowError(f"{what} is an integer too large for a float") from None
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def _require_keys(data, what: str, required, optional=(), error=ValueError) -> dict:
@@ -115,6 +119,16 @@ def _require_keys(data, what: str, required, optional=(), error=ValueError) -> d
     if missing:
         raise error(f"missing {what} keys: {', '.join(missing)}")
     return data
+
+
+def _load_json(path, from_dict, errors, parse_float=None):
+    """from_dict(the JSON in path); an error of a class in errors names path."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh, parse_float=parse_float)
+    try:
+        return from_dict(data)
+    except errors as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_int(what: str, text: str) -> int:
@@ -162,8 +176,7 @@ def model_config_from_dict(data: dict) -> ModelConfig:
 
 
 def load_model_config(path: str | Path) -> ModelConfig:
-    with open(path, encoding="utf-8") as fh:
-        return model_config_from_dict(json.load(fh))
+    return _load_json(path, model_config_from_dict, ConfigError)
 
 
 def resolve_model(name_or_path: str | Path) -> ModelConfig:

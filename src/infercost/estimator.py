@@ -44,8 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import (DimensionMismatchError, ModelConfig, Phase, _parse_int, _parse_number,
-                   _require_keys, _require_nonnegative, _require_positive, _require_real)
+from .arch import (DimensionMismatchError, ModelConfig, Phase, _load_json, _parse_int,
+                   _parse_number, _require_keys, _require_nonnegative, _require_positive,
+                   _require_real)
 
 RANK_RTOL = 1e-10  # singular-value ratio below which a direction is treated as null
 _FLOAT64_EXACT = 2 ** 53  # float64 holds every integer up to this magnitude
@@ -119,23 +120,28 @@ def _decode_terms(s, bhl, bnl) -> tuple:
     return s * bhl, s * bnl, bhl, 1
 
 
+def _terms(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[int, ...]:
+    """The features of phase at (b, s) as exact integers, inputs checked."""
+    if phase is Phase.PREFILL:
+        _require_positive("b and s", b, s)
+        return _prefill_terms(_prefill_factors(cfg), b, s)
+    _require_positive("b", b)
+    _require_nonnegative("s", s)
+    hl, nl = _decode_factors(cfg)
+    return _decode_terms(s, b * hl, b * nl)
+
+
 def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
-    _require_positive("b and s", b, s)
-    return tuple(map(float, _prefill_terms(_prefill_factors(cfg), b, s)))
+    return features_for(cfg, b, s, Phase.PREFILL)
 
 
 def decode_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
     """Decode features at context length s; s = 0 is an empty cache."""
-    _require_positive("b", b)
-    _require_nonnegative("s", s)
-    hl, nl = _decode_factors(cfg)
-    return tuple(map(float, _decode_terms(s, b * hl, b * nl)))
+    return features_for(cfg, b, s, Phase.DECODE)
 
 
 def features_for(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[float, ...]:
-    if phase is Phase.PREFILL:
-        return prefill_features(cfg, b, s)
-    return decode_features(cfg, b, s)
+    return tuple(map(float, _terms(cfg, b, s, phase)))
 
 
 def _weighted_sum(values, features):
@@ -150,7 +156,9 @@ def _weighted_sum(values, features):
 
 def predict_at(coeffs: RegressionCoefficients, cfg: ModelConfig, b: int, s: int) -> float:
     """Predicted milliseconds at (b, s)."""
-    return _weighted_sum(coeffs.values, features_for(cfg, b, s, coeffs.phase))
+    # float * int rounds the int as float() does, so summing the exact terms
+    # gives the bits of _weighted_sum(values, features_for(...)).
+    return _weighted_sum(coeffs.values, _terms(cfg, b, s, coeffs.phase))
 
 
 def _step_time(coeffs: RegressionCoefficients, cfg: ModelConfig):
@@ -286,8 +294,7 @@ def coefficients_from_dict(data: dict) -> RegressionCoefficients:
 
 
 def load_coefficients(path: str | Path) -> RegressionCoefficients:
-    with open(path, encoding="utf-8") as fh:
-        return coefficients_from_dict(json.load(fh))
+    return _load_json(path, coefficients_from_dict, (ValueError, OverflowError))
 
 
 def save_coefficients(coeffs: RegressionCoefficients, path: str | Path) -> None:

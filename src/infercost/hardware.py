@@ -8,13 +8,12 @@ is already saturated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 
-from .arch import _require_keys
+from .arch import _load_json, _require_keys
 from .costmodel import OpCost
 
 
@@ -126,9 +125,8 @@ def hardware_from_dict(data: dict) -> HardwareSpec:
 
 
 def load_hardware(path: str | Path) -> HardwareSpec:
-    with open(path, encoding="utf-8") as fh:
-        # Decimal parsing keeps values like 165.2 TFLOPs exact.
-        return hardware_from_dict(json.load(fh, parse_float=Decimal))
+    # Decimal parsing keeps values like 165.2 TFLOPs exact.
+    return _load_json(path, hardware_from_dict, HardwareError, parse_float=Decimal)
 
 
 def resolve_hardware(name_or_path: str | Path) -> HardwareSpec:

@@ -26,10 +26,15 @@ class CacheStats:
 
     def __init__(self, allocated_bytes: int, live_bytes: int, wasted_bytes: int) -> None:
         # Written by hand, as costmodel.OpCost's is: the generated frozen
-        # __init__ pays one object.__setattr__ per field.
-        _require_nonnegative("allocated_bytes", allocated_bytes)
-        _require_nonnegative("live_bytes", live_bytes)
-        _require_nonnegative("wasted_bytes", wasted_bytes)
+        # __init__ pays one object.__setattr__ per field. The counts are
+        # checked inline, as OpCost's are; only a failed check calls
+        # arch._require_nonnegative, whose message names the field.
+        if (type(allocated_bytes) is not int or type(live_bytes) is not int
+                or type(wasted_bytes) is not int
+                or allocated_bytes < 0 or live_bytes < 0 or wasted_bytes < 0):
+            _require_nonnegative("allocated_bytes", allocated_bytes)
+            _require_nonnegative("live_bytes", live_bytes)
+            _require_nonnegative("wasted_bytes", wasted_bytes)
         if allocated_bytes != live_bytes + wasted_bytes:
             raise ValueError("allocated_bytes must equal live_bytes + wasted_bytes")
         fields = self.__dict__
@@ -65,8 +70,7 @@ def footprint(layout: CacheLayout, cfg: ModelConfig, seq_lens: list[int]) -> Cac
     _require_layout(layout)
     live, allocated = sum(seq_lens), layout.total_allocated(seq_lens)
     per_token = kv_cache_bytes(cfg, 1, 1)
-    return CacheStats(allocated_bytes=per_token * allocated, live_bytes=per_token * live,
-                      wasted_bytes=per_token * (allocated - live))
+    return CacheStats(per_token * allocated, per_token * live, per_token * (allocated - live))
 
 
 def _free_kv_bytes(hw: HardwareSpec, model_weight_bytes: int) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -94,6 +95,19 @@ class TestJsonRoundTrip:
         path = tmp_path / "model.json"
         write_json(path, cfg)
         assert load_model_config(path) == cfg
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"vocab": 32000}, ConfigError, "unknown model config keys: vocab"),
+        ({"num_heads": 3}, DimensionMismatchError, "hidden_size (4) != num_heads * head_dim"),
+        ({"num_layers": 0}, NonPositiveFieldError, "num_layers must be strictly positive"),
+    ])
+    def test_file_errors_name_the_file(self, tmp_path, fields, error, message):
+        # The class is kept, so a caller catching DimensionMismatchError still does.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"hidden_size": 4, "intermediate_size": 8, "num_heads": 2,
+                                    "head_dim": 2, "num_layers": 1, **fields}))
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            load_model_config(path)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown model config keys: vocab_size"):

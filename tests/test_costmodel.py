@@ -1,8 +1,10 @@
 """Per-op FLOP/byte counts checked against brute-force enumeration oracles."""
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from infercost import (
     prefill_op_costs,
 )
 from infercost.arch import MODEL_PRESETS
+from infercost.costmodel import _TOKEN_OPS_CACHE_SIZE, _token_ops
 from infercost.hardware import HARDWARE_PRESETS, classify, lower_bound_time
 from infercost.kvsim import cache_step_bytes, footprint, max_concurrency
 from oracles import (
@@ -149,6 +152,24 @@ def test_opcost_is_a_frozen_value():
         OpCost(OpKind.ROPE, 6, -1)
 
 
+def test_slotted_opcost_keeps_the_dataclass_contract():
+    # Cached rows are slotted, with no per-instance dict, yet copy, pickle and
+    # replace still build frozen rows through the constructor.
+    cost = OpCost(OpKind.DOWN_PROJ, 10**30, 7)
+    assert not hasattr(cost, "__dict__")
+    for field in ("kind", "flops", "mops"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cost, field, 1)
+    with pytest.raises(AttributeError):
+        cost.arithmetic_intensity = 1.0
+    for clone in (copy.copy(cost), copy.deepcopy(cost), pickle.loads(pickle.dumps(cost)),
+                  dataclasses.replace(cost)):
+        assert clone == cost and hash(clone) == hash(cost) and repr(clone) == repr(cost)
+        assert type(clone) is OpCost and clone.kind is OpKind.DOWN_PROJ
+    assert dataclasses.replace(cost, mops=8) == OpCost(OpKind.DOWN_PROJ, 10**30, 8)
+    assert dataclasses.astuple(cost) == (OpKind.DOWN_PROJ, 10**30, 7)
+
+
 def test_replaced_opcost_recomputes_intensity():
     cost = dataclasses.replace(OpCost(OpKind.QKV_PROJ, 10, 4), flops=10**6)
     assert cost.arithmetic_intensity == 250_000.0
@@ -268,6 +289,46 @@ def test_decode_calls_return_fresh_lists_of_frozen_rows():
     assert token_wise(decode_op_costs(LLAMA7B, 8, 0)) == token_wise(want)
     with pytest.raises(dataclasses.FrozenInstanceError):
         second[0].flops = 0
+
+
+@given(cfg=model_configs(), x=st.integers(1, 16), y=st.integers(1, 16),
+       z=st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_prefill_rows_are_shared_per_token_count(cfg, x, y, z):
+    # (x*y, z) and (x, y*z) hold the same t = xyz tokens, so both calls return
+    # the same token-wise row objects, equal to rows built without the cache;
+    # TINY at the same t gets rows of its own.
+    t = x * y * z
+    first, second = prefill_op_costs(cfg, x * y, z), prefill_op_costs(cfg, x, y * z)
+    assert first is not second
+    rows = first[:2] + first[3:]
+    assert all(a is b for a, b in zip(rows, second[:2] + second[3:]))
+    assert tuple(rows) == _token_ops.__wrapped__(cfg, t)
+    tiny = prefill_op_costs(TINY, x * y, z)
+    assert tuple(tiny[:2] + tiny[3:]) == _token_ops.__wrapped__(TINY, t)
+    # Decode at b = t shares the same rows, whatever its history.
+    decode = decode_op_costs(cfg, t, z)
+    assert all(a is b for a, b in zip(rows, decode[:2] + decode[4:]))
+    want = list(first)
+    first.clear()
+    assert prefill_op_costs(cfg, x * y, z) == want
+
+
+def test_token_row_cache_holds_one_analytic_grid_pass():
+    # The analytic-grid benchmark's points: 1,024 prefill and 10 more decode
+    # (model, t) pairs. A second pass over them builds no row.
+    def grid_pass():
+        for cfg in MODEL_PRESETS.values():
+            for b in (1, 2, 4, 8, 16, 32, 64):
+                for s in range(32, 4097, 32):
+                    prefill_op_costs(cfg, b, s)
+                    decode_op_costs(cfg, b, s)
+    _token_ops.cache_clear()
+    grid_pass()
+    assert _token_ops.cache_info().misses == _token_ops.cache_info().currsize == 1034
+    grid_pass()
+    assert _token_ops.cache_info().misses == 1034
+    assert _token_ops.cache_info().maxsize == _TOKEN_OPS_CACHE_SIZE
 
 
 def test_cache_update_layout_sensitivity():

@@ -21,6 +21,7 @@ from infercost.estimator import (
     UnderdeterminedSystemError,
     _require_exact,
     _step_time,
+    _weighted_sum,
     coeff_names,
     coefficients_from_dict,
     coefficients_to_dict,
@@ -159,6 +160,28 @@ def test_step_time_equals_predict_at_bit_for_bit(values, cfg, b, s, n):
             prices = list(model(b, range(s, s + n)))
             assert all(type(ms) is float for ms in prices)
             assert _bits(prices) == want
+
+
+def _outcome(call) -> str:
+    try:
+        return _bits([call()])[0]
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 6),
+       cfg=st.sampled_from([LLAMA7B, ModelConfig(4, 8, 2, 2, 1)]),
+       b=st.integers(1, 256),
+       s=st.one_of(st.integers(0, 2**53), st.integers(2**1024, 2**1100)))
+def test_predict_at_equals_the_sum_over_features_bit_for_bit(values, cfg, b, s):
+    # predict_at sums the exact integer terms; float * int rounds each as
+    # features_for's float() does, and an int too large for a float raises
+    # OverflowError in both, as prefill's s = 0 raises ValueError in both.
+    for phase in Phase:
+        coeffs = RegressionCoefficients(phase, values[:len(coeff_names(phase))])
+        want = _outcome(lambda: _weighted_sum(coeffs.values, features_for(cfg, b, s, phase)))
+        assert _outcome(lambda: predict_at(coeffs, cfg, b, s)) == want
 
 
 def _synthetic_design(phase, true_values):
@@ -383,6 +406,19 @@ class TestPersistence:
         path.write_text(json.dumps({"phase": "decode", "phi": 1, "psi": 0, "omega": 0,
                                     "nu": 1, **extra}))
         with pytest.raises(ValueError, match=message):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"nu": 10**400}, OverflowError,
+         "decode coefficient nu is an integer too large for a float"),
+        ({"bogus": 1}, ValueError, "unknown coefficients keys: bogus"),
+        ({"phi": "1"}, ValueError, "decode coefficient phi must be a finite number"),
+    ])
+    def test_coefficients_json_errors_name_the_file(self, tmp_path, fields, error, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"phase": "decode", "phi": 1, "psi": 0, "omega": 0,
+                                    "nu": 1, **fields}))
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
             load_coefficients(path)
 
     @pytest.mark.parametrize("data", [[], "decode", None], ids=repr)

@@ -1,6 +1,7 @@
 """Roofline math, bound classification, presets, and hardware JSON loading."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -157,6 +158,18 @@ class TestJsonRoundTrip:
             "bf16_tflops": 165.2,
         }))
         assert load_hardware(path).peak_flops_per_s == 165_200_000_000_000
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"tdp_watts": 300}, "unknown hardware keys: tdp_watts"),
+        ({"memory_gb": 0}, "memory_bytes must be a strictly positive integer"),
+        ({"bf16_tflops": 1e-13}, "bf16_tflops=1E-13 does not scale"),
+    ])
+    def test_file_errors_name_the_file(self, tmp_path, fields, message):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps({"name": "x", "memory_gb": 1, "bandwidth_gb_per_s": 1,
+                                    "bf16_tflops": 1, **fields}))
+        with pytest.raises(HardwareError, match=re.escape(f"{path}: {message}")):
+            load_hardware(path)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(HardwareError, match="unknown hardware keys: tdp_watts"):
