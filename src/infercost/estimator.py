@@ -13,15 +13,6 @@ Each feature is an exact integer, b*s (or b) times a per-config integer
 factor such as h^2*l, rounded once to float64. A prediction adds the
 coefficient-feature products left to right.
 
-A serving run prices many steps with one (coeffs, cfg). _step_time builds
-that model once, with the factors precomputed and no input checks per call;
-the caller checks once, with _require_exact, the largest counts it will pass.
-Its prefill model keeps each price it computes. Its decode model multiplies
-context lengths (an int, a float64 array, or each int of a range) by
-float(b*h*l) and float(b*n*l). While both factors are integers that float64
-holds exactly, IEEE rounds the product like float() rounds the exact integer,
-so every price is bit-identical to predict_at's.
-
 The intercept absorbs per-step fixed overhead (kernel launches, scheduler);
 it may be negative (unconstrained OLS), so predictions for tiny workloads can
 dip below zero — consumers that need a duration clamp at zero.
@@ -195,7 +186,9 @@ def _step_time(coeffs: RegressionCoefficients, cfg: ModelConfig):
 
 def _require_exact(cfg: ModelConfig, b_max: int, s_max: int) -> None:
     """Fail unless _step_time's decode model is exact for every b <= b_max
-    and s <= s_max: s, b*h*l and b*n*l must be integers float64 holds."""
+    and s <= s_max: s, b*h*l and b*n*l must be integers float64 holds. IEEE
+    then rounds s * float(b*h*l) like float() rounds the exact integer, so
+    every price is bit-identical to predict_at's."""
     if s_max > _FLOAT64_EXACT:
         raise OverflowError(f"context length s can reach {s_max}, above 2**53, "
                             "the largest the step-time model prices exactly")

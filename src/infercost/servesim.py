@@ -1,40 +1,27 @@
 """Discrete-event simulation of batch and online serving.
 
 Requests arrive, are admitted under a scheduling policy, and advance through
-the prefill/decode lifecycle; step durations come from the fitted runtime
-model. The prefill step itself yields a request's first token, so a request
-with output_len L costs one prefill step plus L-1 decode steps, the i-th
-decode step running against s_past = input_len + i - 1 cached tokens.
+the prefill/decode lifecycle; a step model prices each step. The prefill step
+itself yields a request's first token, so a request with output_len L costs
+one prefill step plus L-1 decode steps, the i-th decode step running against
+s_past = input_len + i - 1 cached tokens.
 
-run() is one engine loop for every policy and names no policy class: a
-SchedulingPolicy supplies admission_limit, step_items and pads, and no more.
-
-One function, _step_bounds, prices every run of steps at the point run()
-picks from the step's kind, its prompt chunks and the decoding sequences:
-
-  prefill -> prefill model at (number of chunks, max chunk tokens)
-  decode  -> decode model at (len(decoding), max s_past)
-  mixed   -> prefill model at (1, len(decoding) + sum of chunk tokens)
-
-Each run builds the fitted step-time model of each phase once, with its
-per-config factors precomputed, and checks once, before the first step, that
-the largest b and s it can reach are in the model's exact range; no step
-repeats those checks; the prefill model prices each (b, s) once per run.
-Every price is bit-identical to estimator.predict_at.
+run() is one engine loop for every policy and every step model, and names
+none of them: a SchedulingPolicy supplies admission_limit, step_items and
+pads, a StepModel supplies bounds, and no more. The paper's model, each
+phase's fitted step time, is the StepModel that run() builds from a
+CoefficientPair.
 
 The decode clock: every decode or mixed step gives each decoding sequence,
 Static's padding included, one token, so run() counts such steps on one
 integer clock instead of touching each sequence. A sequence joining decoding
 stores base = s_past - clock and end = clock + remaining output; run() keeps
 top (the largest base), next_end (the smallest end of a live sequence) and
-live (their number). A step that carries no prompt chunk keeps its point
-(decode s_past = top + clock grows by one per step), so run() advances
-next_end - clock such steps in one span, up to the step that completes a
+live (their number). After a step that carries no prompt chunk, the next
+steps keep its kind and width until an event, so run() hands the step model
+next_end - clock such steps as one run, up to the step that completes a
 sequence, cut before the first step that starts at or after the next
 arrival, and applies them as clock += n. A step with a chunk runs alone.
-Spans of at most _SHORT_SPAN steps are priced as Python floats up to the
-cut, longer ones as one array; both sum max(0, ms) / 1000 per step left to
-right, so they give the same bits.
 
 Simulator cost therefore scales with scheduler events, not generated tokens,
 and an event costs O(1) plus its prompt chunks, whatever the batch width;
@@ -52,8 +39,6 @@ KV accounting: admission reserves the maximum cache a request will ever hold
 (input_len + output_len - 1 tokens, rounded up per the capacity's layout) and
 releases it on completion. Each reservation is computed once, before the
 first step, so a request that can never fit raises CapacityError up front.
-Negative model predictions (possible near zero workload with a negative
-intercept) are clamped to zero-duration steps.
 
 Token latency is defined as request latency divided by output_len.
 """
@@ -221,6 +206,91 @@ class CoefficientPair:
             raise MissingCoefficientError("prefill slot holds non-prefill coefficients")
         if self.decode.phase is not Phase.DECODE:
             raise MissingCoefficientError("decode slot holds non-decode coefficients")
+
+
+class StepModel:
+    """A step-time model: the only pricing rule run() asks for.
+
+    bounds(kind, chunks, width, s_past, n, t, arrival_s) -> [t, t_1, ...,
+    t_m]: the boundaries, in seconds, of a run of n >= 1 steps that starts at
+    t. Every step of the run has the same kind ("prefill", "decode" or
+    "mixed") and carries the same prompt chunks, the (sequence, new_tokens)
+    pairs SchedulingPolicy.step_items returned, and one token of each of
+    width decoding sequences (0 in a prefill step). s_past is the cached
+    tokens of the longest decoding sequence at the first step, and each
+    decode or mixed step adds one to it. A run with a chunk has n = 1. The
+    run is cut before the first step that starts at or after arrival_s, the
+    next arrival (None when none is left); t is before it, so 1 <= m <= n.
+    The boundaries never decrease, and come as a list of floats or a 1-D
+    float64 array.
+    """
+
+
+_NEW_TOKENS = itemgetter(1)  # of a (sequence, new_tokens) prompt chunk
+
+
+class _PhaseStepModel(StepModel):
+    """The paper's step-time model: each phase's fitted model from
+    estimator._step_time, priced at one point per step:
+
+      prefill -> prefill model at (number of chunks, max chunk tokens)
+      decode  -> decode model at (width, s_past), s_past growing per step
+      mixed   -> prefill model at (1, width + sum of chunk tokens)
+
+    Built once per run: it checks then that the largest b and s the trace
+    can reach are in the models' exact range, so no step repeats a check and
+    every price is bit-identical to estimator.predict_at; the prefill model
+    prices each (b, s) once per run. A negative price (possible near zero
+    work with a negative intercept) is a zero-duration step. Runs of up to
+    _SHORT_SPAN steps are priced as Python floats up to the cut, longer ones
+    as one float64 array cut afterwards; both add max(0, ms) / 1000 per step
+    left to right, so they give the same bits.
+    """
+
+    # Longest span priced step by step as Python floats rather than as one
+    # array. An uncut span breaks even at about 30 (decode) to 64 (mixed)
+    # steps, but the float loop stops at the next arrival, which cuts most
+    # spans well before.
+    _SHORT_SPAN = 64
+
+    def __init__(self, coeffs: CoefficientPair, cfg: ModelConfig, trace: list[Request]):
+        if trace:
+            # A batch holds at most every request, and no s_past, padding's
+            # included, reaches the longest prompt plus the longest output.
+            s_max = max(r.input_len for r in trace) + max(r.output_len for r in trace)
+            _require_exact(cfg, len(trace), s_max)
+        self.prefill = _step_time(coeffs.prefill, cfg)
+        self.decode = _step_time(coeffs.decode, cfg)
+
+    def bounds(self, kind, chunks, width, s_past, n, t, arrival_s):
+        if kind == "decode":
+            model, b, s, grows = self.decode, width, s_past, True
+        elif kind == "mixed":
+            model, b, s, grows = self.prefill, 1, width + sum(map(_NEW_TOKENS, chunks)), False
+        else:
+            model, b, s, grows = self.prefill, len(chunks), max(map(_NEW_TOKENS, chunks)), False
+        if n == 1:
+            return [t, t + max(0.0, model(b, s)) / 1000.0]
+        if n <= self._SHORT_SPAN:
+            # Priced lazily: no step past the cut is evaluated.
+            prices = model(b, range(s, s + n)) if grows else repeat(model(b, s), n)
+            cut = math.inf if arrival_s is None else arrival_s
+            bounds = [t]
+            for ms in prices:
+                t += (ms if ms > 0.0 else 0.0) / 1000.0  # max(0.0, ms), as np.where below
+                bounds.append(t)
+                if t >= cut:
+                    break
+            return bounds
+        if grows:
+            ms = model(b, np.arange(s, s + n, dtype=np.float64))
+            durations = np.where(ms > 0.0, ms, 0.0) / 1000.0
+        else:
+            durations = np.full(n, max(0.0, model(b, s)) / 1000.0)
+        bounds = np.cumsum(np.concatenate(([t], durations)))
+        if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
+            n = int(np.searchsorted(bounds[:n], arrival_s))
+        return bounds[:n + 1]
 
 
 @dataclass(frozen=True)
@@ -428,46 +498,6 @@ def compute_metrics(records) -> ServingMetrics:
     )
 
 
-_NEW_TOKENS = itemgetter(1)  # of a (sequence, new_tokens) prompt chunk
-# Longest span priced step by step as Python floats rather than as one array.
-# An uncut span breaks even at about 30 (decode) to 64 (mixed) steps, but the
-# float loop stops at the next arrival, which cuts most spans well before.
-_SHORT_SPAN = 64
-
-
-def _step_bounds(model, b: int, s: int, grows: bool, n: int, t: float,
-                 arrival_s: Optional[float]):
-    """Boundaries [t, t_1, ..., t_n] of the next n >= 1 steps, priced at batch
-    b and size s by one of the run's step-time models (prefill memoized per
-    run); the one place a step is priced. s grows by one per step if `grows`
-    (a decode span's s_past). The span is cut before the first step that
-    starts at or after arrival_s, the next arrival (None if none is left). Up
-    to _SHORT_SPAN steps are priced as a list of Python floats, up to the cut
-    only; a longer span as one float64 array, cut afterwards."""
-    if n == 1:
-        return [t, t + max(0.0, model(b, s)) / 1000.0]
-    if n <= _SHORT_SPAN:
-        # Priced lazily: no step past the cut is evaluated.
-        prices = model(b, range(s, s + n)) if grows else repeat(model(b, s), n)
-        cut = math.inf if arrival_s is None else arrival_s
-        bounds = [t]
-        for ms in prices:
-            t += (ms if ms > 0.0 else 0.0) / 1000.0  # max(0.0, ms), as np.where below
-            bounds.append(t)
-            if t >= cut:
-                break
-        return bounds
-    if grows:
-        ms = model(b, np.arange(s, s + n, dtype=np.float64))
-        durations = np.where(ms > 0.0, ms, 0.0) / 1000.0
-    else:
-        durations = np.full(n, max(0.0, model(b, s)) / 1000.0)
-    bounds = np.cumsum(np.concatenate(([t], durations)))
-    if arrival_s is not None:  # >= 1: step 0 starts before the next arrival
-        n = int(np.searchsorted(bounds[:n], arrival_s))
-    return bounds[:n + 1]
-
-
 def _reservation(req: Request, per_token: int, capacity: Optional[KvCapacity]) -> int:
     """KV bytes reserved for a request: the most cache it will ever hold."""
     tokens = req.input_len + req.output_len - 1
@@ -498,25 +528,22 @@ class _Seq:
 
 
 def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
-        coeffs: CoefficientPair, capacity: Optional[KvCapacity] = None) -> RunResult:
+        coeffs: CoefficientPair | StepModel,
+        capacity: Optional[KvCapacity] = None) -> RunResult:
     """Simulate a trace under a policy; deterministic for fixed inputs.
 
-    Each pass pulls arrivals, admits queued requests in FIFO order up to
+    coeffs is a StepModel, or a CoefficientPair for the paper's model. Each
+    pass pulls arrivals, admits queued requests in FIFO order up to
     policy.admission_limit and the KV capacity, asks policy.step_items for
     the step's kind and prompt chunks, prices the run of steps up to the next
-    event, and applies its chunks, first tokens and completions.
+    event with the step model, and applies its chunks and completions.
     """
-    if not isinstance(coeffs, CoefficientPair):
+    if not isinstance(coeffs, (CoefficientPair, StepModel)):
         raise MissingCoefficientError(
-            f"coeffs must be a CoefficientPair, got {type(coeffs).__name__}")
+            f"coeffs must be a CoefficientPair or a StepModel, got {type(coeffs).__name__}")
     if not isinstance(policy, SchedulingPolicy):
         raise TypeError(f"unknown policy: {policy!r}")
-    if trace:
-        # A batch holds at most every request, and no s_past, padding's
-        # included, reaches the longest prompt plus the longest output.
-        s_max = max(r.input_len for r in trace) + max(r.output_len for r in trace)
-        _require_exact(cfg, len(trace), s_max)
-    prefill, decode = _step_time(coeffs.prefill, cfg), _step_time(coeffs.decode, cfg)
+    model = _PhaseStepModel(coeffs, cfg, trace) if isinstance(coeffs, CoefficientPair) else coeffs
 
     per_token = kv_cache_bytes(cfg, 1, 1)
     pending = [_Seq(req, _reservation(req, per_token, capacity))
@@ -561,11 +588,7 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
         else:  # the step would generate no token: wait for the next arrival
             t = max(t, arrival_s)
             continue
-        tokens = width + sum(map(_NEW_TOKENS, chunks))
-        point = ((decode, width, top + clock, True) if kind == "decode" else
-                 (prefill, 1, tokens, False) if kind == "mixed" else
-                 (prefill, len(chunks), max(map(_NEW_TOKENS, chunks)), False))
-        bounds = _step_bounds(*point, n, t, arrival_s)
+        bounds = model.bounds(kind, chunks, width, top + clock, n, t, arrival_s)
         n = len(bounds) - 1  # fewer than asked if cut at the next arrival
         t = float(bounds[-1])
         if width:
@@ -603,7 +626,8 @@ def run(policy: SchedulingPolicy, trace: list[Request], cfg: ModelConfig,
             decoding = []  # a padded batch ends with its last live sequence
 
         generated_tokens += n * generated
-        steps.add(bounds, kind, width + len(chunks), tokens, generated, reserved)
+        steps.add(bounds, kind, width + len(chunks), width + sum(map(_NEW_TOKENS, chunks)),
+                  generated, reserved)
         for seq in finished:
             req = seq.req
             records.append(RequestRecord(
@@ -692,7 +716,7 @@ def metrics_csv_text(rows) -> str:
 
 __all__ = [
     "Request", "Static", "Continuous", "SplitFuse", "SchedulingPolicy",
-    "CoefficientPair", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
+    "CoefficientPair", "StepModel", "KvCapacity", "RequestRecord", "StepRecord", "StepTable",
     "ServingMetrics", "RunResult", "CapacityError", "MissingCoefficientError",
     "run", "trim_warmup", "sweep_rates", "compute_metrics", "describe_policy",
     "metrics_csv_text",

@@ -9,6 +9,7 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -38,6 +39,7 @@ from infercost.servesim import (
     ServingMetrics,
     SplitFuse,
     Static,
+    StepModel,
     StepRecord,
     StepTable,
     compute_metrics,
@@ -54,6 +56,7 @@ LLAMA7B = MODEL_PRESETS["llama2-7b"]
 CONST_PREFILL = RegressionCoefficients(Phase.PREFILL, (0, 0, 0, 0, 0, 100.0))
 PHI_DECODE = RegressionCoefficients(Phase.DECODE, (1.0, 0, 0, 0))
 ORACLE = CoefficientPair(CONST_PREFILL, PHI_DECODE)
+PHASE_MODEL = servesim._PhaseStepModel  # the StepModel run builds from a CoefficientPair
 
 
 def req(rid, inp, out, at=0.0):
@@ -139,16 +142,17 @@ def test_counts_are_integers_of_at_least_one(name, value, message):
 
 class TestExactRange:
     # The step-time model multiplies context lengths by b*h*l and b*n*l in
-    # float64, which is exact only for integers up to 2**53; run checks the
-    # largest values the trace can reach before the first step.
+    # float64, which is exact only for integers up to 2**53; the phase model
+    # that run builds checks the largest values the trace can reach before
+    # the first step.
     def test_context_length_past_2_to_53_fails_up_front(self, monkeypatch):
-        monkeypatch.setattr(servesim, "_step_bounds", None)  # no step may be priced
+        monkeypatch.setattr(PHASE_MODEL, "bounds", None)  # no step may be priced
         trace = [req(0, 2**52, 2**52 + 1), req(1, 1, 1)]
         with pytest.raises(OverflowError, match=r"s can reach 9007199254740993, above 2\*\*"):
             run(Continuous(max_seqs=2), trace, TINY, ORACLE)
 
     def test_batch_width_past_2_to_53_fails_up_front(self, monkeypatch):
-        monkeypatch.setattr(servesim, "_step_bounds", None)
+        monkeypatch.setattr(PHASE_MODEL, "bounds", None)
         deep = ModelConfig(4, 8, 2, 2, 2**50)  # b*h*l = b * 2**52
         trace = [req(i, 1, 1) for i in range(3)]
         with pytest.raises(OverflowError, match=r"max\(h, n\)\*l can reach 13510798882111488"):
@@ -164,9 +168,12 @@ class TestCoefficientPair:
         with pytest.raises(MissingCoefficientError, match="required"):
             CoefficientPair(None, PHI_DECODE)
 
-    def test_run_rejects_junk_coeffs(self):
-        with pytest.raises(MissingCoefficientError, match="CoefficientPair"):
-            run(Continuous(max_seqs=2), [req(0, 1, 1)], TINY, CONST_PREFILL)
+    @pytest.mark.parametrize("junk", [CONST_PREFILL, None, StepModel],
+                             ids=["coefficients", "none", "step-model-class"])
+    def test_run_rejects_junk_coeffs(self, junk):
+        with pytest.raises(MissingCoefficientError,
+                           match="must be a CoefficientPair or a StepModel"):
+            run(Continuous(max_seqs=2), [req(0, 1, 1)], TINY, junk)
 
 
 class TestContinuousOracle:
@@ -634,8 +641,8 @@ class TestInvariantsAcrossPolicies:
                 span_steps.append(len(bounds) - 1)
             return bounds
 
-        step_bounds = servesim._step_bounds
-        monkeypatch.setattr(servesim, "_step_bounds", spy)
+        step_bounds = PHASE_MODEL.bounds
+        monkeypatch.setattr(PHASE_MODEL, "bounds", spy)
         trace = [req(0, 2, 6), req(1, 3, 4), req(2, 1, 5, at=0.5)]
         steps = run(policy, trace, TINY, ORACLE).steps
         assert 0 < sum(span_steps) < len(steps)
@@ -787,9 +794,38 @@ def _poisson_trace(scenario: str, n: int, seed: int) -> list[Request]:
             for r, at in zip(generate(scenario, n, seed=seed), arrivals)]
 
 
+class OneMillisecond(StepModel):
+    """Every step takes 1 ms, added left to right; no module names it."""
+
+    def bounds(self, kind, chunks, width, s_past, n, t, arrival_s):
+        cut = math.inf if arrival_s is None else arrival_s
+        bounds = [t]
+        while len(bounds) <= n and bounds[-1] < cut:
+            bounds.append(bounds[-1] + 0.001)
+        return bounds
+
+
+@pytest.mark.parametrize("capacity", [None, KvCapacity(Paged(16), 2**30)],
+                         ids=["uncapped", "paged16-1gib"])
+@pytest.mark.parametrize("policy", [Static(4), Continuous(max_seqs=8), SplitFuse(256)],
+                         ids=describe_policy)
+def test_a_new_step_model_is_one_class(policy, capacity):
+    # mu = nu = 1.0 and every other coefficient 0: the phase model prices
+    # every step at exactly 1 ms, on its scalar and array paths alike. The
+    # 1 GiB cap holds fewer sequences than each policy would admit.
+    unit = CoefficientPair(RegressionCoefficients(Phase.PREFILL, (0, 0, 0, 0, 0, 1.0)),
+                           RegressionCoefficients(Phase.DECODE, (0, 0, 0, 1.0)))
+    trace = _poisson_trace("short-to-long", 40, seed=5)
+    result = run(policy, trace, LLAMA7B, OneMillisecond(), capacity)
+    assert result == run(policy, trace, LLAMA7B, unit, capacity)
+    assert len(result.records) == len(trace)
+    assert np.allclose(result.steps.end_s - result.steps.start_s, 0.001)
+
+
 class TestSpanPaths:
-    """Up to _SHORT_SPAN steps are priced one by one as Python floats, longer
-    spans as one array; both must give the same steps to the bit."""
+    """The phase model prices up to _SHORT_SPAN steps one by one as Python
+    floats, longer spans as one array; both must give the same steps to the
+    bit."""
 
     def run_three_ways(self, monkeypatch, *args):
         """run(*args) with every span on the array path, every span on the
@@ -802,13 +838,13 @@ class TestSpanPaths:
                 kinds.append(type(bounds))
             return bounds
 
-        step_bounds = servesim._step_bounds
-        monkeypatch.setattr(servesim, "_step_bounds", spy)
+        step_bounds = PHASE_MODEL.bounds
+        monkeypatch.setattr(PHASE_MODEL, "bounds", spy)
         results = []
-        for short_span in (1, 2**62, servesim._SHORT_SPAN):
+        for short_span in (1, 2**62, PHASE_MODEL._SHORT_SPAN):
             kinds.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(servesim, "_SHORT_SPAN", short_span)
+                patch.setattr(PHASE_MODEL, "_SHORT_SPAN", short_span)
                 results.append(run(*args))
             if short_span == 1:
                 assert kinds and set(kinds) == {np.ndarray}

@@ -3,14 +3,14 @@
 `reference_run` is the engine loop without decode spans or a decode clock:
 it keeps every running sequence's own s_past and remaining counts, and prices
 and applies every step on its own. It shares no code with the engine. Its
-pricing, `_price`, is written from the table in the servesim docstring on
-top of `estimator.predict_at`; its scheduling rules, `admission_limit` and
-`step_items`, are written from the policies' docstrings, so a policy that
-stops charging its budget or padding its batch disagrees with them. `run`
-advances stretches of decode-only steps, up to and including the step that
-completes a sequence, in one span on one shared clock, and must still
-produce exactly the same RunResult - every float bit-identical, no
-tolerance.
+pricing, `_price`, is written from the table in the docstring of the paper's
+step model, `servesim._PhaseStepModel`, on top of `estimator.predict_at`; its
+scheduling rules, `admission_limit` and `step_items`, are written from the
+policies' docstrings, so a policy that stops charging its budget or padding
+its batch disagrees with them. `run` advances stretches of decode-only steps,
+up to and including the step that completes a sequence, in one span on one
+shared clock, and must still produce exactly the same RunResult - every
+float bit-identical, no tolerance.
 """
 
 import math
@@ -70,8 +70,8 @@ COEFFICIENT_SETS = {
 
 
 def _price(kind, items, cfg, coeffs) -> float:
-    """Seconds one step takes, from the table in the servesim docstring; a
-    negative prediction is a zero-length step."""
+    """Seconds one step takes, from the table in the phase model's docstring;
+    a negative prediction is a zero-length step."""
     new_tokens = [new for _, new, _ in items]
     if kind == "prefill":
         ms = predict_at(coeffs.prefill, cfg, len(items), max(new_tokens))
