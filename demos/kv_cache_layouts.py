@@ -14,7 +14,7 @@ model weights, which is the serving concurrency ceiling.
 
 Usage:
     python3 demos/kv_cache_layouts.py
-    python3 demos/kv_cache_layouts.py --model llama2-13b --weight-bytes 26e9
+    python3 demos/kv_cache_layouts.py --model llama2-13b
 """
 
 import argparse
@@ -29,6 +29,7 @@ from infercost import (
     max_concurrency,
     resolve_hardware,
     resolve_model,
+    weight_bytes,
 )
 from infercost.cli import _byte_count, _count
 
@@ -37,16 +38,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--model", default="llama2-7b")
     parser.add_argument("--hardware", default="a800")
-    parser.add_argument("--weight-bytes", type=_byte_count, default=13_500_000_000,
-                        help="bytes of model weights resident on the device "
-                             "(scientific notation accepted)")
+    parser.add_argument("--weight-bytes", type=_byte_count, default=None,
+                        help="bytes of model weights resident on the device, "
+                             "overriding the model's own (scientific notation accepted)")
     parser.add_argument("--reserved-len", type=_count, default=2048)
     parser.add_argument("--block-size", type=_count, default=16)
     args = parser.parse_args()
 
     cfg = resolve_model(args.model)
     hw = resolve_hardware(args.hardware)
-    weights = args.weight_bytes
+    weights = args.weight_bytes if args.weight_bytes is not None else weight_bytes(cfg)
     layouts = {
         f"vanilla({args.reserved_len})": Vanilla(reserved_len=args.reserved_len),
         f"paged({args.block_size})": Paged(block_size=args.block_size),

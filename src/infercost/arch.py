@@ -47,7 +47,8 @@ class ModelConfig:
     """Decoder-stack dimensions of a LLaMA-style model plus scalar width.
 
     bytes_per_scalar defaults to 2 (bf16); set 4 for fp32 or 1 for fp8
-    what-if analyses.
+    what-if analyses. vocab_size, which only costmodel.weight_bytes reads, may
+    be None; it comes last, so a config built positionally keeps its meaning.
     """
 
     hidden_size: int
@@ -56,15 +57,23 @@ class ModelConfig:
     head_dim: int
     num_layers: int
     bytes_per_scalar: int = 2
+    vocab_size: int | None = None
 
     def __post_init__(self) -> None:
         _check_config(self)
 
 
+# The fields in order, which are also the model JSON keys: five required,
+# then the optional ones.
+_MODEL_JSON_KEYS = ("hidden_size", "intermediate_size", "num_heads", "head_dim",
+                    "num_layers", "bytes_per_scalar", "vocab_size")
+
+
 def _check_config(cfg: ModelConfig) -> None:
-    for name in ("hidden_size", "intermediate_size", "num_heads", "head_dim",
-                 "num_layers", "bytes_per_scalar"):
+    for name in _MODEL_JSON_KEYS:
         value = getattr(cfg, name)
+        if value is None and name == "vocab_size":
+            continue
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value <= 0:
@@ -159,14 +168,10 @@ def validate_config(cfg: ModelConfig) -> ModelConfig:
 # paper-data/ were taken on the 7B variant.
 MODEL_PRESETS: dict[str, ModelConfig] = {
     "llama2-7b": ModelConfig(hidden_size=4096, intermediate_size=11008,
-                             num_heads=32, head_dim=128, num_layers=32),
+                             num_heads=32, head_dim=128, num_layers=32, vocab_size=32000),
     "llama2-13b": ModelConfig(hidden_size=5120, intermediate_size=13824,
-                              num_heads=40, head_dim=128, num_layers=40),
+                              num_heads=40, head_dim=128, num_layers=40, vocab_size=32000),
 }
-
-
-_MODEL_JSON_KEYS = ("hidden_size", "intermediate_size", "num_heads", "head_dim",
-                    "num_layers", "bytes_per_scalar")
 
 
 def model_config_from_dict(data: dict) -> ModelConfig:

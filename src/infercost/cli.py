@@ -121,6 +121,13 @@ def _byte_count(text: str) -> int:
     return int(value)
 
 
+def _weight_bytes(args, cfg) -> int | None:
+    """--weight-bytes, else the model's own weight bytes (None without a vocab_size)."""
+    if args.weight_bytes is None and cfg.vocab_size is not None:
+        return costmodel.weight_bytes(cfg)
+    return args.weight_bytes
+
+
 def _add_model_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True,
                    help="model config JSON path or preset name (llama2-7b, llama2-13b)")
@@ -129,6 +136,12 @@ def _add_model_flag(p: argparse.ArgumentParser) -> None:
 def _add_hardware_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hardware", required=True,
                    help="hardware JSON path or preset name (a800, rtx-4090, rtx-3090)")
+
+
+def _add_weight_bytes_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--weight-bytes", type=_byte_count, default=None,
+                   help="model weight bytes resident on the device, overriding "
+                        "the model's own (scientific notation accepted)")
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
@@ -301,9 +314,10 @@ def cmd_memory(args) -> int:
         (f"allocated under {args.layout}", str(stats.allocated_bytes)),
         ("wasted (allocated - live)", str(stats.wasted_bytes)),
     ]
-    if args.weight_bytes is not None:
+    weights = _weight_bytes(args, cfg)
+    if weights is not None:
         per_seq = args.per_seq_len if args.per_seq_len is not None else args.s
-        limit = kvsim.max_concurrency(layout, cfg, hw, args.weight_bytes, per_seq)
+        limit = kvsim.max_concurrency(layout, cfg, hw, weights, per_seq)
         rows.append((f"max concurrent seqs of {per_seq} tokens on {hw.name}", str(limit)))
     title = f"KV-cache plan: model={args.model} layout={args.layout}"
     _emit(_render_table(title, ("Quantity", "Value"), rows, args.format), args.out)
@@ -348,11 +362,12 @@ def cmd_simulate(args) -> int:
 
     capacity = None
     if args.hardware is not None:
-        if args.weight_bytes is None:
-            raise ValueError("--weight-bytes is required when --hardware sets a KV capacity")
+        weights = _weight_bytes(args, cfg)
+        if weights is None:
+            raise ValueError("--hardware needs --weight-bytes for a model without a vocab_size")
         layout = _LAYOUTS[args.layout](args)
         hw = resolve_hardware(args.hardware)
-        capacity = servesim.KvCapacity.from_hardware(layout, hw, args.weight_bytes)
+        capacity = servesim.KvCapacity.from_hardware(layout, hw, weights)
 
     if args.trace is not None:
         trace = workload.load_trace(args.trace)
@@ -427,9 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hardware_flag(p)
     _add_point_flags(p)
     _add_layout_flags(p)
-    p.add_argument("--weight-bytes", type=_byte_count, default=None,
-                   help="model weight bytes resident on the device "
-                        "(scientific notation accepted)")
+    _add_weight_bytes_flag(p)
     p.add_argument("--per-seq-len", type=_count, default=None,
                    help="per-sequence token reservation for the concurrency bound "
                         "(default: --s)")
@@ -463,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "omit for a single run with the trace's own arrivals")
     p.add_argument("--arrival-process", choices=["poisson", "uniform"], default="poisson")
     p.add_argument("--hardware", default=None,
-                   help="hardware preset/path; with --weight-bytes, bounds KV capacity")
-    p.add_argument("--weight-bytes", type=_byte_count, default=None)
+                   help="hardware preset/path; bounds KV capacity beside the weights")
+    _add_weight_bytes_flag(p)
     _add_layout_flags(p)
     p.add_argument("--out", default=None, help="metrics CSV path (default: stdout)")
     p.set_defaults(func=cmd_simulate)

@@ -1,6 +1,6 @@
 """Per-operation FLOPs, modeled memory traffic (MOPs) and arithmetic
-intensity for one decoder layer, in both phases, plus KV-cache footprint and
-the KV-cache layouts.
+intensity for one decoder layer, in both phases, plus KV-cache footprint,
+weight bytes and the KV-cache layouts.
 
 Every row comes from one of three formulas, which the two phases call with
 different arguments (w = bytes_per_scalar):
@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter, floordiv
 
-from .arch import ModelConfig, _require_nonnegative, _require_positive
+from .arch import ConfigError, ModelConfig, _require_nonnegative, _require_positive
 
 
 class OpKind(Enum):
@@ -333,9 +333,23 @@ def kv_cache_bytes(cfg: ModelConfig, b: int, s: int) -> int:
     return 2 * cfg.num_layers * cfg.hidden_size * cfg.bytes_per_scalar * b * s
 
 
+def weight_bytes(cfg: ModelConfig) -> int:
+    """Bytes of the model's weights: w(l(4h^2 + 3hh' + 2h) + 2Vh + h) for a
+    vocabulary of V tokens.
+
+    A layer's weights are what its token-wise rows move at t = 0 tokens, so
+    their shapes are written once, in _token_ops. The rest is an untied
+    embedding and LM head (V x h each) and the final norm (h)."""
+    if cfg.vocab_size is None:
+        raise ConfigError("weight_bytes needs the model's vocab_size")
+    h = cfg.hidden_size
+    per_layer = sum(map(_mops, _token_ops(cfg, 0)))
+    return cfg.num_layers * per_layer + cfg.bytes_per_scalar * (2 * cfg.vocab_size * h + h)
+
+
 __all__ = [
     "OpKind", "OpCost", "ModelCost", "CacheLayout", "Vanilla", "Paged",
     "TokenGranular", "ReservedOverflowError", "PREFILL_OP_ORDER", "DECODE_OP_ORDER",
     "LINEAR_PROJECTIONS", "prefill_op_costs", "decode_op_costs", "aggregate",
-    "kv_cache_bytes",
+    "kv_cache_bytes", "weight_bytes",
 ]

@@ -122,16 +122,8 @@ def _terms(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[int, ...]:
     return _decode_terms(s, b * hl, b * nl)
 
 
-def prefill_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
-    return features_for(cfg, b, s, Phase.PREFILL)
-
-
-def decode_features(cfg: ModelConfig, b: int, s: int) -> tuple[float, ...]:
-    """Decode features at context length s; s = 0 is an empty cache."""
-    return features_for(cfg, b, s, Phase.DECODE)
-
-
 def features_for(cfg: ModelConfig, b: int, s: int, phase: Phase) -> tuple[float, ...]:
+    """The features of phase at (b, s); a decode s = 0 is an empty cache."""
     return tuple(map(float, _terms(cfg, b, s, phase)))
 
 
@@ -298,8 +290,7 @@ def save_coefficients(coeffs: RegressionCoefficients, path: str | Path) -> None:
 
 __all__ = [
     "TimingSample", "RegressionCoefficients", "FitResult",
-    "UnderdeterminedSystemError", "coeff_names",
-    "prefill_features", "decode_features", "features_for",
+    "UnderdeterminedSystemError", "coeff_names", "features_for",
     "predict_at", "fit", "fit_design",
     "load_timing_samples", "load_coefficients", "save_coefficients",
 ]

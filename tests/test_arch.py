@@ -43,7 +43,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field", [
         "hidden_size", "intermediate_size", "num_heads", "head_dim",
-        "num_layers", "bytes_per_scalar",
+        "num_layers", "bytes_per_scalar", "vocab_size",
     ])
     def test_nonpositive_fields_rejected(self, field):
         kwargs = dict(hidden_size=4, intermediate_size=8, num_heads=2,
@@ -60,6 +60,15 @@ class TestModelConfig:
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigError, match="must be an integer"):
             make(w=True)
+        with pytest.raises(ConfigError, match="vocab_size must be an integer"):
+            dataclasses.replace(make(), vocab_size=True)
+
+    def test_vocab_size_is_optional_and_last(self):
+        # A config built positionally keeps bytes_per_scalar in sixth place.
+        cfg = ModelConfig(4096, 11008, 32, 128, 32, 4)
+        assert (cfg.bytes_per_scalar, cfg.vocab_size) == (4, None)
+        with pytest.raises(ConfigError, match="vocab_size must be an integer"):
+            ModelConfig(4096, 11008, 32, 128, 32, 2, 32000.0)
 
     def test_float_rejected(self):
         with pytest.raises(ConfigError, match="must be an integer"):
@@ -109,12 +118,12 @@ class TestJsonRoundTrip:
         with pytest.raises(error, match=re.escape(f"{path}: {message}")):
             load_model_config(path)
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown model config keys: vocab_size"):
-            model_config_from_dict({
-                "hidden_size": 4, "intermediate_size": 8, "num_heads": 2,
-                "head_dim": 2, "num_layers": 1, "vocab_size": 32000,
-            })
+    def test_vocab_size_loads_into_its_field(self):
+        cfg = model_config_from_dict({
+            "hidden_size": 4, "intermediate_size": 8, "num_heads": 2,
+            "head_dim": 2, "num_layers": 1, "vocab_size": 32000,
+        })
+        assert cfg == dataclasses.replace(make(h=4, h_ffn=8, n=2, d=2, l=1), vocab_size=32000)
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ConfigError, match="missing model config keys"):
@@ -129,7 +138,7 @@ class TestJsonRoundTrip:
             "hidden_size": 4, "intermediate_size": 8, "num_heads": 2,
             "head_dim": 2, "num_layers": 1,
         })
-        assert cfg.bytes_per_scalar == 2
+        assert (cfg.bytes_per_scalar, cfg.vocab_size) == (2, None)
 
 
 class TestResolveModel:

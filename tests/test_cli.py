@@ -18,7 +18,7 @@ from infercost.cli import (
     roofline_csv,
     roofline_svg,
 )
-from infercost.costmodel import prefill_op_costs
+from infercost.costmodel import prefill_op_costs, weight_bytes
 from infercost.estimator import RegressionCoefficients
 from infercost.hardware import HARDWARE_PRESETS
 
@@ -44,6 +44,15 @@ def coeff_files(tmp_path):
     estimator.save_coefficients(VLLM_PREFILL, prefill)
     estimator.save_coefficients(VLLM_DECODE, decode)
     return str(prefill), str(decode)
+
+
+@pytest.fixture
+def model_without_vocabulary(tmp_path):
+    """llama2-7b's dimensions in a model file with no vocab_size."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"hidden_size": 4096, "intermediate_size": 11008,
+                                "num_heads": 32, "head_dim": 128, "num_layers": 32}))
+    return str(path)
 
 
 class TestPaperDataDir:
@@ -283,6 +292,24 @@ class TestMemory:
         assert f"| allocated under vanilla | {allocated} |" in out
         assert f"| wasted (allocated - live) | {allocated - live} |" in out
 
+    def test_weight_bytes_default_to_the_models(self, capsys):
+        # Without --weight-bytes the concurrency row uses the model's own
+        # weight bytes; the flag overrides them.
+        args = ("memory", "--model", "llama2-7b", "--hardware", "a800", "--s", "4096")
+        derived = run_cli(capsys, *args)
+        given = run_cli(capsys, *args, "--weight-bytes", str(weight_bytes(LLAMA7B)))
+        override = run_cli(capsys, *args, "--weight-bytes", "70e9")
+        assert derived == given and derived[0] == 0
+        assert "| max concurrent seqs of 4096 tokens on A800 | 30 |" in derived[1]
+        assert "| max concurrent seqs of 4096 tokens on A800 | 4 |" in override[1]
+
+    def test_model_without_vocabulary_has_no_concurrency_row(self, capsys,
+                                                             model_without_vocabulary):
+        code, out, _ = run_cli(capsys, "memory", "--model", model_without_vocabulary,
+                               "--hardware", "a800")
+        assert code == 0
+        assert "KV bytes per token" in out and "max concurrent" not in out
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "memory", "--model", "llama2-7b",
                                "--hardware", "a800", "--format", "csv")
@@ -394,14 +421,24 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))
         assert int(rows[1][7]) == 8
 
-    def test_capacity_needs_weight_bytes(self, capsys, coeff_files):
+    def test_capacity_needs_weight_bytes(self, capsys, coeff_files, model_without_vocabulary):
         prefill_json, decode_json = coeff_files
-        code, _, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
-                               "--prefill-coeffs", prefill_json,
-                               "--decode-coeffs", decode_json,
-                               "--policy", "static", "--hardware", "a800")
-        assert code == 2
-        assert "--weight-bytes is required" in err
+        code, out, err = run_cli(capsys, "simulate", "--model", model_without_vocabulary,
+                                 "--prefill-coeffs", prefill_json,
+                                 "--decode-coeffs", decode_json,
+                                 "--policy", "static", "--hardware", "a800")
+        assert (code, out) == (2, "")
+        assert err == "error: --hardware needs --weight-bytes for a model without a vocab_size\n"
+
+    def test_capacity_defaults_to_the_models_weight_bytes(self, capsys, coeff_files):
+        prefill_json, decode_json = coeff_files
+        args = ("simulate", "--model", "llama2-7b", "--prefill-coeffs", prefill_json,
+                "--decode-coeffs", decode_json, "--policy", "continuous",
+                "--max-seqs", "32", "--scenario", "short-to-short", "--n", "24",
+                "--hardware", "a800")
+        derived = run_cli(capsys, *args)
+        given = run_cli(capsys, *args, "--weight-bytes", str(weight_bytes(LLAMA7B)))
+        assert derived == given and derived[0] == 0
 
     def test_capacity_bound_simulation_runs(self, capsys, coeff_files):
         prefill_json, decode_json = coeff_files

@@ -3,14 +3,18 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infercost import (
+    ConfigError,
     DECODE_OP_ORDER,
     PREFILL_OP_ORDER,
     ModelConfig,
@@ -24,6 +28,7 @@ from infercost import (
     decode_op_costs,
     kv_cache_bytes,
     prefill_op_costs,
+    weight_bytes,
 )
 from infercost.arch import MODEL_PRESETS
 from infercost.costmodel import _TOKEN_OPS_CACHE_SIZE, _token_ops
@@ -367,6 +372,45 @@ def test_kv_cache_bytes_pinned_values():
 @settings(max_examples=40, deadline=None)
 def test_kv_cache_bytes_bilinear(b, s):
     assert kv_cache_bytes(LLAMA7B, b, s) == b * s * kv_cache_bytes(LLAMA7B, 1, 1)
+
+
+# --- weight bytes ------------------------------------------------------------
+
+def test_weight_bytes_pinned_values():
+    # bf16 weights of 6,738,415,616 and 13,015,864,320 parameters.
+    assert weight_bytes(MODEL_PRESETS["llama2-7b"]) == 13_476_831_232
+    assert weight_bytes(MODEL_PRESETS["llama2-13b"]) == 26_031_728_640
+
+
+@given(cfg=model_configs(), vocab=st.integers(1, 256000))
+@settings(max_examples=60, deadline=None)
+def test_weight_bytes_counts_every_weight_once(cfg, vocab):
+    # Per layer: Wq, Wk, Wv, Wo (h x h each), gate, up and down (h x h' each)
+    # and two norms (h each); then embedding and LM head (V x h each) and the
+    # final norm.
+    h, hf, l, w = (cfg.hidden_size, cfg.intermediate_size, cfg.num_layers,
+                   cfg.bytes_per_scalar)
+    want = w * (l * (4 * h * h + 3 * h * hf + 2 * h) + 2 * vocab * h + h)
+    assert weight_bytes(dataclasses.replace(cfg, vocab_size=vocab)) == want
+
+
+def test_weight_bytes_need_a_vocabulary():
+    with pytest.raises(ConfigError, match="vocab_size"):
+        weight_bytes(LLAMA7B)
+
+
+def test_benchmark_weight_bytes_are_the_models(monkeypatch):
+    # bench/workloads.py writes its weight bytes out by hand; they must stay
+    # the models' own.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # workloads imports hostspeed
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as it is
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.WEIGHT_BYTES == {name: weight_bytes(cfg)
+                                      for name, cfg in MODEL_PRESETS.items()}
 
 
 # --- golden digest -----------------------------------------------------------

@@ -76,7 +76,7 @@ def test_kv_layouts_weight_bytes_are_whole_bytes(tmp_path, text, message):
 
 
 def test_kv_layouts_weight_bytes_in_scientific_notation(tmp_path):
-    default = _run_demo(KV_LAYOUTS, tmp_path)
+    plain = _run_demo(KV_LAYOUTS, tmp_path, "--weight-bytes", "13500000000")
     scientific = _run_demo(KV_LAYOUTS, tmp_path, "--weight-bytes", "13.5e9")
     assert scientific.returncode == 0
-    assert scientific.stdout == default.stdout
+    assert scientific.stdout == plain.stdout

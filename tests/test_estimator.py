@@ -25,14 +25,12 @@ from infercost.estimator import (
     coeff_names,
     coefficients_from_dict,
     coefficients_to_dict,
-    decode_features,
     features_for,
     fit,
     fit_design,
     load_coefficients,
     load_timing_samples,
     predict_at,
-    prefill_features,
     save_coefficients,
 )
 
@@ -56,7 +54,7 @@ class TestFeatures:
         cfg = LLAMA7B
         b, s = 8, 512
         h, hf, n, l = 4096, 11008, 32, 32
-        assert prefill_features(cfg, b, s) == (
+        assert features_for(cfg, b, s, Phase.PREFILL) == (
             float(b * s * h * h * l), float(b * s * h * hf * l),
             float(b * s * s * n * l), float(b * s * h * l),
             float(b * s * hf * l), 1.0,
@@ -66,13 +64,9 @@ class TestFeatures:
         cfg = LLAMA7B
         b, s = 8, 512
         h, n, l = 4096, 32, 32
-        assert decode_features(cfg, b, s) == (
+        assert features_for(cfg, b, s, Phase.DECODE) == (
             float(b * s * h * l), float(b * s * n * l), float(b * h * l), 1.0,
         )
-
-    def test_features_for_dispatches_on_phase(self):
-        assert features_for(LLAMA7B, 2, 3, Phase.PREFILL) == prefill_features(LLAMA7B, 2, 3)
-        assert features_for(LLAMA7B, 2, 3, Phase.DECODE) == decode_features(LLAMA7B, 2, 3)
 
     def test_coeff_names(self):
         assert coeff_names(Phase.PREFILL) == PREFILL_COEFF_NAMES
@@ -95,7 +89,7 @@ class TestPredict:
     def test_predict_at_equals_manual_dot(self):
         coeffs = RegressionCoefficients(Phase.PREFILL,
                                         (3.75e-11, 3.69e-11, 4.2e-8, 1.7e-7, 6.35e-9, 32.8))
-        feats = prefill_features(LLAMA7B, 8, 512)
+        feats = features_for(LLAMA7B, 8, 512, Phase.PREFILL)
         assert predict_at(coeffs, LLAMA7B, 8, 512) == pytest.approx(
             sum(c * f for c, f in zip(coeffs.values, feats)), rel=1e-15)
 
@@ -114,7 +108,7 @@ class TestPredict:
 
     def test_prefill_needs_a_prompt_token(self):
         with pytest.raises(ValueError, match="b and s must be >= 1, got 0"):
-            prefill_features(LLAMA7B, 8, 0)
+            features_for(LLAMA7B, 8, 0, Phase.PREFILL)
 
     def test_decode_over_an_empty_cache_is_priced(self):
         coeffs = RegressionCoefficients(Phase.DECODE, (2.23e-9, 1.75e-11, 1.63e-8, 11.2))

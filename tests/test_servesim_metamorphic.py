@@ -35,10 +35,12 @@ from infercost import (
     resolve_hardware,
     resolve_model,
     run,
+    weight_bytes,
 )
 
 LLAMA7B = resolve_model("llama2-7b")
-A800_PAGED = KvCapacity.from_hardware(Paged(16), resolve_hardware("a800"), 13_476_831_232)
+A800_PAGED = KvCapacity.from_hardware(Paged(16), resolve_hardware("a800"),
+                                      weight_bytes(LLAMA7B))
 # The a800 cap never refuses these traces; 4 GiB refuses admission in most
 # Continuous(16) and SplitFuse(256) cases on the two long scenarios.
 CAPACITIES = {"uncapped": None, "a800-paged16": A800_PAGED,

@@ -29,12 +29,14 @@ from infercost import (
     describe_policy,
     generate,
     run,
+    weight_bytes,
 )
 from infercost.arch import MODEL_PRESETS
 from infercost.hardware import HARDWARE_PRESETS
 
 LLAMA7B = MODEL_PRESETS["llama2-7b"]
-A800_PAGED = KvCapacity.from_hardware(Paged(16), HARDWARE_PRESETS["a800"], 13_476_831_232)
+A800_PAGED = KvCapacity.from_hardware(Paged(16), HARDWARE_PRESETS["a800"],
+                                      weight_bytes(LLAMA7B))
 # The a800 cap never refuses these traces; 4 GiB refuses admission on the
 # long-to-short traces (test_the_small_cap_refuses_admission).
 PAGED_4GIB = KvCapacity(Paged(16), 4 * 2**30)
