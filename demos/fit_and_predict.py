@@ -1,11 +1,15 @@
 """Fit a linear runtime model to step-time measurements and sanity-check it.
 
 Loads the bundled step-time samples for one backend, fits the runtime model
-for both phases by least squares, and compares the fit's predictions against
-held measurements. Also demonstrates why the fit is reported rank-deficient:
-with a single architecture, several feature columns are proportional, so only
-their combined effect is identified — predictions are still exact on the
-observed span, but individual coefficients are not meaningful.
+for both phases by least squares, and prints a per-sample table of measured
+against predicted time, which no command prints. The check is in-sample: the
+predictions are compared with the very samples the model was fitted to,
+because the bundled samples are the only step times there are. It shows how
+closely the model reproduces them, not how well it predicts unseen points.
+Also demonstrates why the fit is reported rank-deficient: with a single
+architecture, several feature columns are proportional, so only their
+combined effect is identified — the predictions at the sampled points do not
+depend on how it is split, but individual coefficients are not meaningful.
 
 Usage:
     python3 demos/fit_and_predict.py

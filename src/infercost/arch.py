@@ -131,11 +131,12 @@ def _require_keys(data, what: str, required, optional=(), error=ValueError) -> d
 
 
 def _load_json(path, from_dict, errors, parse_float=None):
-    """from_dict(the JSON in path); an error of a class in errors names path."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=parse_float)
+    """from_dict(the JSON in path); broken JSON, as errors[0], and errors in errors name path."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        return from_dict(data)
+        return from_dict(json.loads(text, parse_float=parse_float))
+    except json.JSONDecodeError as exc:
+        raise errors[0](f"{path}: invalid JSON: {exc}") from exc
     except errors as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -181,7 +182,7 @@ def model_config_from_dict(data: dict) -> ModelConfig:
 
 
 def load_model_config(path: str | Path) -> ModelConfig:
-    return _load_json(path, model_config_from_dict, ConfigError)
+    return _load_json(path, model_config_from_dict, (ConfigError,))
 
 
 def resolve_model(name_or_path: str | Path) -> ModelConfig:

@@ -345,13 +345,6 @@ def _build_policy(args) -> servesim.SchedulingPolicy:
     return cls(getattr(args, flag))
 
 
-def _all_trimmed_warning(n_requests: int) -> str:
-    """What a rate sweep says when no rate kept a completion after trimming."""
-    n = servesim._WARMUP_TRIM
-    return (f"warning: sweep metrics trim {n} warmup and {n} drain requests, which "
-            f"consumed the whole {n_requests}-request trace; use more requests")
-
-
 def cmd_simulate(args) -> int:
     cfg = resolve_model(args.model)
     coeffs = servesim.CoefficientPair(
@@ -382,7 +375,9 @@ def cmd_simulate(args) -> int:
                                      arrival_process=args.arrival_process)
         rows = [(label, rate, swept[rate]) for rate in rates]
         if all(m.completed == 0 for _, _, m in rows):
-            print(_all_trimmed_warning(len(trace)), file=sys.stderr)
+            n = servesim._WARMUP_TRIM
+            print(f"warning: sweep metrics trim {n} warmup and {n} drain requests, which consumed "
+                  f"the whole {len(trace)}-request trace; use more requests", file=sys.stderr)
     else:
         result = servesim.run(policy, trace, cfg, coeffs, capacity=capacity)
         rows = [(label, 0.0, result.metrics)]

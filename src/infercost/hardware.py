@@ -126,7 +126,7 @@ def hardware_from_dict(data: dict) -> HardwareSpec:
 
 def load_hardware(path: str | Path) -> HardwareSpec:
     # Decimal parsing keeps values like 165.2 TFLOPs exact.
-    return _load_json(path, hardware_from_dict, HardwareError, parse_float=Decimal)
+    return _load_json(path, hardware_from_dict, (HardwareError,), parse_float=Decimal)
 
 
 def resolve_hardware(name_or_path: str | Path) -> HardwareSpec:

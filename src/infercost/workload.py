@@ -67,7 +67,7 @@ def save_trace(trace, path) -> None:
 
 
 def load_trace(path) -> list[Request]:
-    """Parse a JSONL trace; errors carry the 1-based line number."""
+    """Parse a JSONL trace of at least one request; errors carry the 1-based line number."""
     trace: list[Request] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -82,6 +82,8 @@ def load_trace(path) -> list[Request]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except (OverflowError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if not trace:
+        raise ValueError(f"{path}: trace holds no requests")
     return trace
 
 

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from infercost import estimator, workload
-from infercost.arch import MODEL_PRESETS, Phase
+from infercost.arch import MODEL_PRESETS, ConfigError, Phase, load_model_config
 from infercost.cli import (
     PAPER_DATA_ENV,
     ROOFLINE_CSV_HEADER,
@@ -20,7 +20,7 @@ from infercost.cli import (
 )
 from infercost.costmodel import prefill_op_costs, weight_bytes
 from infercost.estimator import RegressionCoefficients
-from infercost.hardware import HARDWARE_PRESETS
+from infercost.hardware import HARDWARE_PRESETS, HardwareError, load_hardware
 
 A800 = HARDWARE_PRESETS["a800"]
 LLAMA7B = MODEL_PRESETS["llama2-7b"]
@@ -421,6 +421,16 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))
         assert int(rows[1][7]) == 8
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_trace_without_a_request_is_an_error(self, capsys, tmp_path, coeff_files, text):
+        prefill_json, decode_json = coeff_files
+        trace_path = tmp_path / "empty.jsonl"
+        trace_path.write_text(text)
+        result = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                         "--prefill-coeffs", prefill_json, "--decode-coeffs", decode_json,
+                         "--policy", "static", "--trace", str(trace_path))
+        assert result == (2, "", f"error: {trace_path}: trace holds no requests\n")
+
     def test_capacity_needs_weight_bytes(self, capsys, coeff_files, model_without_vocabulary):
         prefill_json, decode_json = coeff_files
         code, out, err = run_cli(capsys, "simulate", "--model", model_without_vocabulary,
@@ -486,17 +496,20 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))
         assert [int(r[7]) for r in rows[1:]] == [0, 0]
 
-    def test_sweep_rejects_an_infinite_rate(self, capsys, coeff_files):
+    @pytest.mark.parametrize("rates, message", [
+        ("1,inf", "rates must be a finite number, got inf"),
+        ("1,1", "rate 1.0 is repeated"),
+    ])
+    def test_sweep_rejects_an_infinite_or_repeated_rate(self, capsys, coeff_files, rates,
+                                                        message):
         prefill_json, decode_json = coeff_files
         code, out, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
                                  "--prefill-coeffs", prefill_json,
                                  "--decode-coeffs", decode_json,
                                  "--policy", "continuous", "--max-seqs", "32",
                                  "--scenario", "short-to-short", "--n", "4",
-                                 "--rates", "1,inf")
-        assert code == 2
-        assert out == ""
-        assert "rates must be a finite number, got inf" in err
+                                 "--rates", rates)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("rates", ["1_0,2", " 2", "2 ", "2, 8"])
     def test_sweep_rejects_a_rate_float_would_coerce(self, capsys, coeff_files, rates):
@@ -572,6 +585,7 @@ class TestStrictNumberFlags:
         ("1_3.5e9", "value must be a plain number, got '1_3.5e9'"),
         (" 13.5e9", "value must be a plain number, got ' 13.5e9'"),
         ("13.5", "'13.5' is not a whole number of bytes"),
+        ("13.5000000001e9", "'13.5000000001e9' is not a whole number of bytes"),
         ("inf", "'inf' is not a whole number of bytes"),
         ("nan", "'nan' is not a whole number of bytes"),
         ("lots", "could not convert string to float: 'lots'"),
@@ -589,3 +603,30 @@ class TestStrictNumberFlags:
         out = capsys.readouterr().out
         assert "b=16, s=512" in out
         assert "max concurrent seqs of 512 tokens" in out
+        # Scientific notation is the same byte count written out.
+        assert main([*MEMORY, "--b", "16", "--s", "512",
+                     "--weight-bytes", "13500000000"]) == 0
+        assert capsys.readouterr().out == out
+
+
+class TestBrokenJson:
+    # A file cut short names itself through the CLI, and its reader raises
+    # the reader's own error class.
+    @pytest.mark.parametrize("argv, text, load, error", [
+        (["analyze", "--hardware", "a800", "--model"],
+         '{"hidden_size": 4096, "intermediate_size": ', load_model_config, ConfigError),
+        (["analyze", "--model", "llama2-7b", "--hardware"],
+         '{"name": "A800", "memory_gb": 80,', load_hardware, HardwareError),
+        (["predict", "--model", "llama2-7b", "--coefficients"],
+         '{"phase": "decode", "phi": 1.19e-08', estimator.load_coefficients, ValueError),
+    ], ids=["model", "hardware", "coefficients"])
+    def test_truncated_file_names_the_file(self, capsys, tmp_path, argv, text, load, error):
+        path = tmp_path / "cut.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as cause:
+            json.loads(text)
+        message = f"{path}: invalid JSON: {cause.value}"
+        assert run_cli(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == message
