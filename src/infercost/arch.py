@@ -2,9 +2,9 @@
 module applies to input values.
 
 The rules: a count is an int (never a bool), a real is a finite int or float
-(never a bool), and a JSON object holds its required keys and no other.
-_require_positive, _require_nonnegative, _require_real and _require_keys
-state them; OpCost, ModelCost, CacheStats and Request write a rule inline
+(never a bool), and a JSON object holds its required keys, no other and none
+twice. _count_rule, _require_real, _require_keys and _unique_keys state
+them; OpCost, ModelCost, CacheStats and Request write a rule inline
 where they are built per row or per request, and say so. A constructor checks
 its own fields, so a loader checks a file's keys and passes the values it read
 straight to the constructor; an error from a JSON file names the file.
@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 
@@ -84,23 +86,22 @@ def _check_config(cfg: ModelConfig) -> None:
             f"({cfg.num_heads} * {cfg.head_dim} = {cfg.num_heads * cfg.head_dim})")
 
 
-def _require_positive(what: str, *values) -> None:
-    """Raise ValueError unless every value is an integer >= 1; a bool is not
-    a count. `what` names the values in the message."""
-    for value in values:
-        if type(value) is not int:  # bool is an int subclass
-            raise ValueError(f"{what} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{what} must be >= 1, got {value}")
+def _count_rule(least: int):
+    """The count rule as require(what, *values): raise ValueError unless every
+    value is an integer >= least (a bool is not a count), naming them `what`."""
+    def require(what: str, *values) -> None:
+        for value in values:
+            if type(value) is not int:  # bool is an int subclass
+                raise ValueError(f"{what} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{what} must be >= {least}, got {value}")
+    return require
 
 
-def _require_nonnegative(what: str, *values) -> None:
-    """As _require_positive, for lengths, which may be 0."""
-    for value in values:
-        if type(value) is not int:
-            raise ValueError(f"{what} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{what} must be >= 0, got {value}")
+# Closures, not partials of one function: both run on every cost-model call
+# and every Request, and a partial costs an extra call each time.
+_require_positive = _count_rule(1)
+_require_nonnegative = _count_rule(0)  # for lengths, which may be 0
 
 
 def _require_real(what: str, value) -> None:
@@ -130,11 +131,21 @@ def _require_keys(data, what: str, required, optional=(), error=ValueError) -> d
     return data
 
 
+def _unique_keys(pairs: list, error=ValueError) -> dict:
+    """json's object_pairs_hook: a dict, or `error` naming a repeated key."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise error(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return data
+
+
 def _load_json(path, from_dict, errors, parse_float=None):
     """from_dict(the JSON in path); broken JSON, as errors[0], and errors in errors name path."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return from_dict(json.loads(text, parse_float=parse_float))
+        return from_dict(json.loads(text, parse_float=parse_float,
+                                    object_pairs_hook=partial(_unique_keys, error=errors[0])))
     except json.JSONDecodeError as exc:
         raise errors[0](f"{path}: invalid JSON: {exc}") from exc
     except errors as exc:
@@ -151,9 +162,10 @@ def _parse_int(what: str, text: str) -> int:
 
 def _parse_number(what: str, text: str) -> float:
     """A number as float() reads it, minus "_" and blanks around it; inf and nan pass."""
-    if "_" in text or text != text.strip():
-        raise ValueError(f"{what} must be a plain number, got {text!r}")
-    return float(text)
+    if "_" not in text and text == text.strip():
+        with suppress(ValueError):
+            return float(text)
+    raise ValueError(f"{what} must be a plain number, got {text!r}")
 
 
 def validate_config(cfg: ModelConfig) -> ModelConfig:
@@ -185,15 +197,20 @@ def load_model_config(path: str | Path) -> ModelConfig:
     return _load_json(path, model_config_from_dict, (ConfigError,))
 
 
+def _resolve(flag: str, name_or_path, presets: dict, load, error):
+    """presets[name], else load(path); else `error` naming the CLI's flag."""
+    name = str(name_or_path)
+    if name in presets:
+        return presets[name]
+    if Path(name).exists():
+        return load(name)
+    raise error(f"{flag} {name!r} is neither a preset "
+                f"({', '.join(sorted(presets))}) nor an existing file")
+
+
 def resolve_model(name_or_path: str | Path) -> ModelConfig:
     """Accept a preset name or a JSON file path (the CLI's --model semantics)."""
-    name = str(name_or_path)
-    if name in MODEL_PRESETS:
-        return MODEL_PRESETS[name]
-    if Path(name).exists():
-        return load_model_config(name)
-    raise ConfigError(f"--model {name!r} is neither a preset "
-                      f"({', '.join(sorted(MODEL_PRESETS))}) nor an existing file")
+    return _resolve("--model", name_or_path, MODEL_PRESETS, load_model_config, ConfigError)
 
 
 __all__ = [

@@ -110,6 +110,13 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _request_count(text: str) -> int:
+    """argparse type of --n: a trace holds at least one request."""
+    if (n := _count(text)) < 1:
+        raise argparse.ArgumentTypeError(f"value must be >= 1, got {n}")
+    return n
+
+
 def _byte_count(text: str) -> int:
     """Whole byte count; accepts scientific notation like 13.5e9."""
     try:
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("workload", help="generate a synthetic request trace")
     p.add_argument("--scenario", required=True,
                    choices=[sc.value for sc in workload.Scenario])
-    p.add_argument("--n", type=_count, default=80, help="number of requests")
+    p.add_argument("--n", type=_request_count, default=80, help="number of requests")
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", default=None, help="JSONL output path (default: stdout)")
     p.set_defaults(func=cmd_workload)
@@ -464,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="JSONL trace (overrides --scenario)")
     p.add_argument("--scenario", default=workload.Scenario.SHORT_TO_SHORT.value,
                    choices=[sc.value for sc in workload.Scenario])
-    p.add_argument("--n", type=_count, default=80, help="requests when generating a trace")
+    p.add_argument("--n", type=_request_count, default=80, help="requests when generating a trace")
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--rates", default=None,
                    help="comma-separated arrival rates (req/s) for a sweep; "

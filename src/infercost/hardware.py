@@ -13,7 +13,7 @@ from decimal import Decimal
 from enum import Enum
 from pathlib import Path
 
-from .arch import _load_json, _require_keys
+from .arch import _load_json, _require_keys, _resolve
 from .costmodel import OpCost
 
 
@@ -131,13 +131,7 @@ def load_hardware(path: str | Path) -> HardwareSpec:
 
 def resolve_hardware(name_or_path: str | Path) -> HardwareSpec:
     """Accept a preset name or a JSON file path (the CLI's --hardware semantics)."""
-    name = str(name_or_path)
-    if name in HARDWARE_PRESETS:
-        return HARDWARE_PRESETS[name]
-    if Path(name).exists():
-        return load_hardware(name)
-    raise HardwareError(f"--hardware {name!r} is neither a preset "
-                        f"({', '.join(sorted(HARDWARE_PRESETS))}) nor an existing file")
+    return _resolve("--hardware", name_or_path, HARDWARE_PRESETS, load_hardware, HardwareError)
 
 
 __all__ = [

@@ -29,11 +29,10 @@ only a completion (clock == next_end) scans decoding, to collect it and
 recompute top, next_end and live.
 
 Step storage: a run's steps are a StepTable, one read-only numpy column per
-StepRecord field, so no Python object exists per step until it is read. A
-run of steps contributes its boundaries (Python floats appended to lists, or
-slices of a long span's array) and run lengths of its constant fields; the
-columns are joined once when the run ends. Indexing and iterating a
-StepTable yield StepRecords equal to those of a step-by-step loop.
+step field, and no Python object per step. A run of steps contributes its
+boundaries (Python floats appended to lists, or slices of a long span's
+array) and run lengths of its constant fields; the columns are joined once
+when the run ends.
 
 KV accounting: admission reserves the maximum cache a request will ever hold
 (input_len + output_len - 1 tokens, rounded up per the capacity's layout) and
@@ -48,9 +47,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, repeat
@@ -349,15 +346,12 @@ _new_step_record = partial(tuple.__new__, StepRecord)
 _ITER_CHUNK = 4096  # rows a StepTable turns into Python objects at a time
 
 
-class StepTable(Sequence):
+class StepTable:
     """A run's steps as read-only numpy columns, one per StepRecord field.
 
     start_s and end_s are float64; batch, tokens, generated and reserved_bytes
-    are int64; kind holds int8 codes into KINDS. len, indexing (negative too)
-    and iteration yield StepRecords; a slice is a StepTable of views. A table
-    equals another table with equal columns and, in both directions, any
-    sequence of equal records.
-    """
+    are int64; kind holds int8 codes into KINDS. len is the number of steps,
+    and a table equals a table with equal columns."""
 
     __slots__ = StepRecord._fields
     KINDS = ("prefill", "decode", "mixed")
@@ -378,13 +372,6 @@ class StepTable(Sequence):
     def __len__(self) -> int:
         return len(self.start_s)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return StepTable(*(col[index] for col in self._columns()))
-        row = [col[operator.index(index)].item() for col in self._columns()]
-        row[2] = self.KINDS[row[2]]
-        return _new_step_record(row)
-
     def _rows(self, lo: int):
         hi = lo + _ITER_CHUNK
         cols = [col[lo:hi].tolist() for col in self._columns()]
@@ -392,6 +379,8 @@ class StepTable(Sequence):
         return map(_new_step_record, zip(*cols))
 
     def __iter__(self):
+        """StepRecords. Their one reader is the benchmark's output check,
+        until that check reads the columns."""
         # Fixed-size chunks: tolist() over whole columns would hold every
         # row's Python objects at once.
         return chain.from_iterable(map(self._rows, range(0, len(self), _ITER_CHUNK)))
@@ -399,8 +388,6 @@ class StepTable(Sequence):
     def __eq__(self, other):
         if isinstance(other, StepTable):
             return all(map(np.array_equal, self._columns(), other._columns()))
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __repr__(self) -> str:

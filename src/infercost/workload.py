@@ -10,8 +10,8 @@ range (inclusive bounds):
 
 Traces serialize as JSON Lines with one request per line:
   {"input_tokens": <int>, "output_tokens": <int>, "arrival_s": <float>}
-arrival_s is optional and defaults to 0 on load. Loading is strict: a line
-is a JSON object with no other keys, and its values go to Request as read, so
+arrival_s is optional (default 0). Loading is strict: a line is a JSON object
+with those keys only, none twice, and its values go to Request as read, so
 Request's own checks are the trace's rules (token counts are integers >= 1,
 never booleans, floats or strings; arrival_s is a finite int or float >= 0).
 """
@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .arch import _require_keys, _require_nonnegative
+from .arch import _require_keys, _require_nonnegative, _unique_keys
 from .servesim import Request
 
 
@@ -74,8 +74,9 @@ def load_trace(path) -> list[Request]:
             if not line.strip():
                 continue
             try:
-                record = _require_keys(json.loads(line), "trace record",
-                                       ("input_tokens", "output_tokens"), ("arrival_s",))
+                record = _require_keys(json.loads(line, object_pairs_hook=_unique_keys),
+                                       "trace record", ("input_tokens", "output_tokens"),
+                                       ("arrival_s",))
                 trace.append(Request(len(trace), record["input_tokens"],
                                      record["output_tokens"], record.get("arrival_s", 0.0)))
             except json.JSONDecodeError as exc:

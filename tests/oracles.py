@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the cost model.
+"""Independent brute-force oracles for the cost model, and the serving
+simulator's invariants.
 
 FLOP counts come from literal loop enumeration of multiplies and adds under
 the package's counting conventions (2 FLOPs per multiply-accumulate, 6 per
@@ -6,9 +7,15 @@ rotary pair, 4 per attention-score element, 5 per add-norm element, 2 per
 swish-multiply element). Byte counts come from explicit tensor-shape
 enumeration under the single-pass traffic model. Nothing here calls into
 the package, so agreement is meaningful.
+
+The serving helpers read a run's steps through their numpy columns and its
+request records only: `rows` for oracles that list every step, and
+`check_invariants` for the properties every run keeps.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def matmul_flops(m: int, k: int, n: int) -> int:
@@ -108,3 +115,34 @@ def brute_decode_bytes(h: int, n: int, d: int, h_ffn: int, b: int, s_past: int,
     else:
         counts["CacheUpdate"] = w * 2 * new_kv             # append in place, read+write
     return counts
+
+
+STEP_COLUMNS = ("start_s", "end_s", "kind", "batch", "tokens", "generated", "reserved_bytes")
+
+
+def rows(steps) -> list[tuple]:
+    """A run's steps as tuples of Python scalars in STEP_COLUMNS order, the
+    kind as its name."""
+    columns = [getattr(steps, name).tolist() for name in STEP_COLUMNS]
+    columns[2] = [steps.KINDS[code] for code in columns[2]]
+    return list(zip(*columns))
+
+
+def check_invariants(result, trace, capacity=None) -> None:
+    """Assert what every run keeps, whatever its policy, pricing or cap:
+    each request completes exactly once, after it arrives and no earlier
+    than its first token; the steps generate exactly the requested tokens;
+    no step ends before it starts or starts before the previous one ends;
+    and reserved KV cache stays within the capacity."""
+    steps = result.steps
+    assert result.metrics.completed == len(result.records) == len(trace)
+    assert sorted(r.id for r in result.records) == sorted(r.id for r in trace)
+    for record in result.records:
+        assert record.arrival_s <= record.first_token_s <= record.completion_s
+    want = sum(r.output_len for r in trace)
+    assert result.generated_tokens == int(steps.generated.sum()) == want
+    assert np.all(steps.end_s >= steps.start_s)
+    assert np.all(steps.start_s[1:] >= steps.end_s[:-1])
+    if capacity is not None:
+        assert np.all(steps.reserved_bytes <= capacity.total_bytes)
+        assert result.peak_reserved_bytes <= capacity.total_bytes

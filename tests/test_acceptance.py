@@ -5,12 +5,11 @@ lines; each test also enforces the stated runtime budget on its core
 computation (after one warm-up call).
 """
 
-import json
 import time
 
 import numpy as np
 
-from oracles import brute_prefill_flops
+from oracles import brute_prefill_flops, check_invariants
 
 from infercost import Paged, Vanilla
 from infercost.arch import MODEL_PRESETS, ModelConfig, Phase
@@ -32,7 +31,6 @@ from infercost.hardware import HARDWARE_PRESETS, BoundKind, classify, ridge_poin
 from infercost.kvsim import cache_step_bytes
 from infercost.servesim import (
     Continuous,
-    CoefficientPair,
     KvCapacity,
     SplitFuse,
     Static,
@@ -63,14 +61,6 @@ def _once(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def _published(data: dict, backend: str, phase: Phase) -> RegressionCoefficients:
-    values = data[backend][phase.value]
-    return RegressionCoefficients(
-        phase, tuple(values[name] for name in
-                     (("alpha", "beta", "gamma", "eta", "lambda", "mu")
-                      if phase is Phase.PREFILL else ("phi", "psi", "omega", "nu"))))
 
 
 def test_criterion_1_decode_qkv_intensity():
@@ -105,13 +95,12 @@ def test_criterion_2_bound_classification():
                    f"4/4 prefill projections ComputeBound, {elapsed * 1e6:.0f} us")
 
 
-def test_criterion_3_published_coefficient_predictions(paper_data):
-    with open(paper_data / "table10_regression_coefficients.json") as fh:
-        table = json.load(fh)
+def test_criterion_3_published_coefficient_predictions(table10):
+    published = {backend: table10(backend) for backend in ("transformers", "vllm")}
 
     def compute():
         return {
-            (backend, phase): predict_at(_published(table, backend, phase),
+            (backend, phase): predict_at(getattr(published[backend], phase.value),
                                          LLAMA7B, 8, 512)
             for backend in ("transformers", "vllm")
             for phase in (Phase.PREFILL, Phase.DECODE)
@@ -156,15 +145,13 @@ def _recovery_error(coeffs: RegressionCoefficients) -> float:
     return float(np.max(np.abs(solution - true) / np.abs(true)))
 
 
-def test_criterion_4_refit_round_trip(paper_data):
-    with open(paper_data / "table10_regression_coefficients.json") as fh:
-        table = json.load(fh)
+def test_criterion_4_refit_round_trip(paper_data, table10):
+    published = [table10(backend) for backend in ("transformers", "vllm")]
     samples = load_timing_samples(paper_data / "timing_samples_transformers.csv")
 
     def compute():
-        worst = max(_recovery_error(_published(table, backend, phase))
-                    for backend in ("transformers", "vllm")
-                    for phase in (Phase.PREFILL, Phase.DECODE))
+        worst = max(_recovery_error(coeffs)
+                    for pair in published for coeffs in (pair.prefill, pair.decode))
         fits = {phase: fit([s for s in samples if s.phase is phase],
                            LLAMA7B, phase)
                 for phase in (Phase.PREFILL, Phase.DECODE)}
@@ -198,13 +185,9 @@ def test_criterion_5_cache_traffic_scaling():
                    f"paged step constant")
 
 
-def test_criterion_6_simulator_conservation_and_determinism(paper_data):
-    with open(paper_data / "table10_regression_coefficients.json") as fh:
-        table = json.load(fh)
-    coeffs = CoefficientPair(_published(table, "vllm", Phase.PREFILL),
-                             _published(table, "vllm", Phase.DECODE))
+def test_criterion_6_simulator_conservation_and_determinism(table10):
+    coeffs = table10("vllm")
     trace = generate(Scenario.SHORT_TO_SHORT, 1000, seed=0)
-    want_tokens = sum(r.output_len for r in trace)
     capacity = KvCapacity.from_hardware(Paged(16), A800, 13_500_000_000)
     policies = [Static(8), Continuous(max_seqs=32), SplitFuse(token_budget=512)]
 
@@ -214,10 +197,8 @@ def test_criterion_6_simulator_conservation_and_determinism(paper_data):
     for policy in policies:
         first = run(policy, trace, LLAMA7B, coeffs, capacity=capacity)
         second = run(policy, trace, LLAMA7B, coeffs, capacity=capacity)
+        check_invariants(first, trace, capacity)
         ok = (ok
-              and first.generated_tokens == want_tokens
-              and first.metrics.completed == len(trace)
-              and all(s.reserved_bytes <= capacity.total_bytes for s in first.steps)
               and first == second
               and metrics_csv_text([("p", 0.0, first.metrics)])
               == metrics_csv_text([("p", 0.0, second.metrics)]))
@@ -228,11 +209,8 @@ def test_criterion_6_simulator_conservation_and_determinism(paper_data):
                    f"reruns byte-identical ({'; '.join(details)}; {elapsed:.2f} s)")
 
 
-def test_criterion_7_serving_shape_properties(paper_data):
-    with open(paper_data / "table10_regression_coefficients.json") as fh:
-        table = json.load(fh)
-    coeffs = CoefficientPair(_published(table, "vllm", Phase.PREFILL),
-                             _published(table, "vllm", Phase.DECODE))
+def test_criterion_7_serving_shape_properties(table10):
+    coeffs = table10("vllm")
     rates = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
     seeds = range(5)
     policies = {"continuous": Continuous(max_seqs=32),

@@ -431,6 +431,18 @@ class TestSimulate:
                          "--policy", "static", "--trace", str(trace_path))
         assert result == (2, "", f"error: {trace_path}: trace holds no requests\n")
 
+    def test_trace_line_with_a_repeated_key_is_an_error(self, capsys, tmp_path, coeff_files):
+        # json keeps a repeated key's last value: this line would load as input_len 900.
+        prefill_json, decode_json = coeff_files
+        trace_path = tmp_path / "twice.jsonl"
+        trace_path.write_text('{"input_tokens": 5, "output_tokens": 3}\n'
+                              '{"input_tokens": 5, "output_tokens": 3, "arrival_s": 0, '
+                              '"input_tokens": 900}\n')
+        result = run_cli(capsys, "simulate", "--model", "llama2-7b",
+                         "--prefill-coeffs", prefill_json, "--decode-coeffs", decode_json,
+                         "--policy", "static", "--trace", str(trace_path))
+        assert result == (2, "", f"error: {trace_path}:2: repeated key 'input_tokens'\n")
+
     def test_capacity_needs_weight_bytes(self, capsys, coeff_files, model_without_vocabulary):
         prefill_json, decode_json = coeff_files
         code, out, err = run_cli(capsys, "simulate", "--model", model_without_vocabulary,
@@ -499,9 +511,11 @@ class TestSimulate:
     @pytest.mark.parametrize("rates, message", [
         ("1,inf", "rates must be a finite number, got inf"),
         ("1,1", "rate 1.0 is repeated"),
+        ("1,", "rates must be a plain number, got ''"),
+        ("1,,2", "rates must be a plain number, got ''"),
+        ("1,two", "rates must be a plain number, got 'two'"),
     ])
-    def test_sweep_rejects_an_infinite_or_repeated_rate(self, capsys, coeff_files, rates,
-                                                        message):
+    def test_sweep_names_a_bad_rate(self, capsys, coeff_files, rates, message):
         prefill_json, decode_json = coeff_files
         code, out, err = run_cli(capsys, "simulate", "--model", "llama2-7b",
                                  "--prefill-coeffs", prefill_json,
@@ -580,6 +594,20 @@ class TestStrictNumberFlags:
         assert line.endswith(f"error: argument {flag}: value must be a decimal integer, "
                              f"got {text!r}")
 
+    @pytest.mark.parametrize("text", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["workload", "--scenario", "short-to-short"], SIMULATE],
+                             ids=["workload", "simulate"])
+    def test_a_trace_of_no_requests_is_a_usage_error(self, capsys, tmp_path, command, text):
+        # workload --n 0 used to write a trace that simulate --trace refuses,
+        # and simulate --n 0 printed a row of zeros.
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--n", text, "--out", str(out)])
+        assert exc.value.code == 2
+        *_, line = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"error: argument --n: value must be >= 1, got {text}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [MEMORY, SIMULATE], ids=["memory", "simulate"])
     @pytest.mark.parametrize("text, message", [
         ("1_3.5e9", "value must be a plain number, got '1_3.5e9'"),
@@ -588,7 +616,8 @@ class TestStrictNumberFlags:
         ("13.5000000001e9", "'13.5000000001e9' is not a whole number of bytes"),
         ("inf", "'inf' is not a whole number of bytes"),
         ("nan", "'nan' is not a whole number of bytes"),
-        ("lots", "could not convert string to float: 'lots'"),
+        ("lots", "value must be a plain number, got 'lots'"),
+        ("", "value must be a plain number, got ''"),
     ])
     def test_weight_bytes_rejects_a_form_float_would_coerce(self, capsys, command, text,
                                                              message):
@@ -607,6 +636,32 @@ class TestStrictNumberFlags:
         assert main([*MEMORY, "--b", "16", "--s", "512",
                      "--weight-bytes", "13500000000"]) == 0
         assert capsys.readouterr().out == out
+
+
+class TestRepeatedJsonKey:
+    # json keeps a repeated key's last value; every reader refuses the file
+    # instead, naming it and the key, with the reader's own error class.
+    @pytest.mark.parametrize("argv, text, key, load, error", [
+        (["analyze", "--hardware", "a800", "--model"],
+         '{"hidden_size": 8192, "intermediate_size": 11008, "num_heads": 32, '
+         '"head_dim": 128, "num_layers": 32, "hidden_size": 4096}', "hidden_size",
+         load_model_config, ConfigError),
+        (["analyze", "--model", "llama2-7b", "--hardware"],
+         '{"name": "A800", "memory_gb": 80, "bandwidth_gb_per_s": 2039, '
+         '"bf16_tflops": 312, "name": "B800"}', "name", load_hardware, HardwareError),
+        (["predict", "--model", "llama2-7b", "--coefficients"],
+         '{"phase": "decode", "phi": 1.0, "psi": 1.75e-11, "omega": 1.63e-08, '
+         '"nu": 11.2, "phi": 2.23e-09}', "phi", estimator.load_coefficients, ValueError),
+    ], ids=["model", "hardware", "coefficients"])
+    def test_file_names_itself_and_the_key(self, capsys, tmp_path, argv, text, key, load,
+                                           error):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        message = f"{path}: repeated key {key!r}"
+        assert run_cli(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == message
 
 
 class TestBrokenJson:

@@ -342,6 +342,8 @@ class TestPersistence:
         ("decode,+16,64,10.5", "b must be a decimal integer"),
         ("decode,16,64,1_0.5", "time_ms must be a plain number, got '1_0.5'"),
         ("decode,16,64,10.5 ", "time_ms must be a plain number"),
+        ("decode,16,64,", "time_ms must be a plain number, got ''"),
+        ("decode,16,64,fast", "time_ms must be a plain number, got 'fast'"),
         ("decode,16,64", "expected 4 fields, got 3"),
         ("decode,16,64,10.5,1", "expected 4 fields, got 5"),
     ])

@@ -8,9 +8,9 @@ phi = 1 on a config where h * l = 4, i.e. 4 * b * s_past milliseconds.
 import csv
 import gc
 import io
-import json
 import math
 import re
+from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import STEP_COLUMNS, check_invariants, rows
 
 from infercost import servesim
 from infercost.arch import MODEL_PRESETS, ModelConfig, Phase
-from infercost.estimator import RegressionCoefficients, TimingSample, coeff_names
+from infercost.estimator import RegressionCoefficients, TimingSample
 from infercost.hardware import HARDWARE_PRESETS
 from infercost import Paged, TokenGranular, Vanilla
 from infercost.kvsim import allocated_tokens
@@ -61,6 +62,14 @@ PHASE_MODEL = servesim._PhaseStepModel  # the StepModel run builds from a Coeffi
 
 def req(rid, inp, out, at=0.0):
     return Request(id=rid, input_len=inp, output_len=out, arrival_time_s=at)
+
+
+def kinds(steps) -> list[str]:
+    return [steps.KINDS[code] for code in steps.kind.tolist()]
+
+
+def durations(steps) -> list[float]:
+    return (steps.end_s - steps.start_s).tolist()
 
 
 class TestRequestValidation:
@@ -183,10 +192,8 @@ class TestContinuousOracle:
         [record] = result.records
         assert record.first_token_s == pytest.approx(0.1)
         assert record.completion_s == pytest.approx(0.136)
-        kinds = [s.kind for s in result.steps]
-        assert kinds == ["prefill", "decode", "decode"]
-        durations = [s.end_s - s.start_s for s in result.steps]
-        assert durations == pytest.approx([0.1, 0.016, 0.020])
+        assert kinds(result.steps) == ["prefill", "decode", "decode"]
+        assert durations(result.steps) == pytest.approx([0.1, 0.016, 0.020])
         assert result.generated_tokens == 3
 
     def test_exclusive_prefills_then_joint_decode(self):
@@ -194,9 +201,9 @@ class TestContinuousOracle:
         # prices at b=2 and the larger history (s_past=3): 24 ms.
         trace = [req(0, 2, 2), req(1, 3, 2)]
         result = run(Continuous(max_seqs=4), trace, TINY, ORACLE)
-        kinds = [(s.kind, s.batch) for s in result.steps]
-        assert kinds == [("prefill", 1), ("prefill", 1), ("decode", 2)]
-        assert result.steps[2].end_s - result.steps[2].start_s == pytest.approx(0.024)
+        assert kinds(result.steps) == ["prefill", "prefill", "decode"]
+        assert result.steps.batch.tolist() == [1, 1, 2]
+        assert durations(result.steps)[2] == pytest.approx(0.024)
         by_id = {r.id: r for r in result.records}
         assert by_id[0].first_token_s == pytest.approx(0.1)
         assert by_id[1].first_token_s == pytest.approx(0.2)
@@ -205,22 +212,22 @@ class TestContinuousOracle:
     def test_decode_priced_at_max_history(self):
         trace = [req(0, 2, 2), req(1, 5, 2)]
         result = run(Continuous(max_seqs=4), trace, TINY, ORACLE)
-        decode = result.steps[-1]
-        # b=2, s_past = max(2, 5) = 5 -> 4 * 2 * 5 = 40 ms.
-        assert decode.end_s - decode.start_s == pytest.approx(0.040)
+        # The last step, a decode at b=2, s_past = max(2, 5) = 5: 4 * 2 * 5 = 40 ms.
+        assert kinds(result.steps)[-1] == "decode"
+        assert durations(result.steps)[-1] == pytest.approx(0.040)
 
     def test_seq_limit_defers_admission(self):
         trace = [req(0, 2, 3), req(1, 2, 3), req(2, 2, 3)]
         result = run(Continuous(max_seqs=2), trace, TINY, ORACLE)
         assert result.metrics.completed == 3
-        assert max(s.batch for s in result.steps) == 2
+        assert result.steps.batch.max() == 2
 
     def test_finished_sequences_vacate_immediately(self):
         # A finishes after its first decode; the next decode prices at b=1.
         trace = [req(0, 2, 2), req(1, 2, 3)]
         result = run(Continuous(max_seqs=4), trace, TINY, ORACLE)
-        decode_batches = [s.batch for s in result.steps if s.kind == "decode"]
-        assert decode_batches == [2, 1]
+        steps = result.steps
+        assert steps.batch[steps.kind == StepTable.KINDS.index("decode")].tolist() == [2, 1]
 
 
 class TestStaticOracle:
@@ -233,9 +240,9 @@ class TestStaticOracle:
         assert by_id[0].completion_s == pytest.approx(0.1)
         # decode k=1 at s_past=4 (32 ms), k=2 at s_past=5 (40 ms)
         assert by_id[1].completion_s == pytest.approx(0.172)
-        assert [s.batch for s in result.steps] == [2, 2, 2]
-        assert [s.kind for s in result.steps] == ["prefill", "decode", "decode"]
-        assert [s.generated for s in result.steps] == [2, 1, 1]
+        assert result.steps.batch.tolist() == [2, 2, 2]
+        assert kinds(result.steps) == ["prefill", "decode", "decode"]
+        assert result.steps.generated.tolist() == [2, 1, 1]
         assert result.generated_tokens == 4
 
     def test_padding_keeps_the_longest_prompt_history(self):
@@ -243,15 +250,14 @@ class TestStaticOracle:
         # padding, so decode k still prices at s_past = 4 + k - 1: 32, 40 ms.
         trace = [req(0, 4, 1), req(1, 2, 3)]
         result = run(Static(2), trace, TINY, ORACLE)
-        durations = [s.end_s - s.start_s for s in result.steps]
-        assert durations == pytest.approx([0.1, 0.032, 0.040])
-        assert [s.generated for s in result.steps] == [2, 1, 1]
+        assert durations(result.steps) == pytest.approx([0.1, 0.032, 0.040])
+        assert result.steps.generated.tolist() == [2, 1, 1]
 
     def test_batch_waits_for_stragglers(self):
         # B arrives at t=10; a batch of 2 cannot form earlier, so A queues.
         trace = [req(0, 4, 1), req(1, 4, 1, at=10.0)]
         result = run(Static(2), trace, TINY, ORACLE)
-        assert result.steps[0].start_s == pytest.approx(10.0)
+        assert result.steps.start_s[0] == pytest.approx(10.0)
         by_id = {r.id: r for r in result.records}
         assert by_id[0].latency_s == pytest.approx(10.1)
         assert by_id[1].latency_s == pytest.approx(0.1)
@@ -260,13 +266,13 @@ class TestStaticOracle:
         trace = [req(i, 2, 1) for i in range(5)]
         result = run(Static(2), trace, TINY, ORACLE)
         assert result.metrics.completed == 5
-        assert [s.batch for s in result.steps] == [2, 2, 1]
+        assert result.steps.batch.tolist() == [2, 2, 1]
 
     def test_single_step_outputs_complete_at_prefill(self):
         result = run(Static(1), [req(0, 7, 1)], TINY, ORACLE)
         [record] = result.records
         assert record.first_token_s == record.completion_s == pytest.approx(0.1)
-        assert [s.kind for s in result.steps] == ["prefill"]
+        assert kinds(result.steps) == ["prefill"]
 
 
 class TestSplitFuseOracle:
@@ -274,8 +280,8 @@ class TestSplitFuseOracle:
         # budget 4, prompt 6: steps carry [4, 2, 1] tokens; the prompt's last
         # chunk yields the first token, decode happens the following step.
         result = run(SplitFuse(4), [req(0, 6, 2)], TINY, ORACLE)
-        assert [s.tokens for s in result.steps] == [4, 2, 1]
-        assert [s.kind for s in result.steps] == ["mixed"] * 3
+        assert result.steps.tokens.tolist() == [4, 2, 1]
+        assert kinds(result.steps) == ["mixed"] * 3
         [record] = result.records
         assert record.first_token_s == pytest.approx(0.2)
         assert record.completion_s == pytest.approx(0.3)
@@ -286,7 +292,7 @@ class TestSplitFuseOracle:
         # final prompt token.
         trace = [req(0, 3, 2), req(1, 5, 1)]
         result = run(SplitFuse(4), trace, TINY, ORACLE)
-        assert [s.tokens for s in result.steps] == [4, 4, 1]
+        assert result.steps.tokens.tolist() == [4, 4, 1]
         by_id = {r.id: r for r in result.records}
         assert by_id[0].completion_s == pytest.approx(0.2)
         assert by_id[1].completion_s == pytest.approx(0.3)
@@ -296,13 +302,12 @@ class TestSplitFuseOracle:
         # All steps use the prefill model at b=1, s=tokens; with the constant
         # oracle every step is exactly 100 ms.
         result = run(SplitFuse(4), [req(0, 6, 2)], TINY, ORACLE)
-        for step in result.steps:
-            assert step.end_s - step.start_s == pytest.approx(0.1)
+        assert durations(result.steps) == pytest.approx([0.1] * len(result.steps))
 
     def test_budget_never_exceeded(self):
         trace = [req(i, 7, 3) for i in range(5)]
         result = run(SplitFuse(4), trace, TINY, ORACLE)
-        assert all(s.tokens <= 4 for s in result.steps)
+        assert result.steps.tokens.max() <= 4
         assert result.metrics.completed == 5
 
 
@@ -324,10 +329,10 @@ class TestDecodeClockOracle:
         t1 = 0.1
         t2 = t1 + 0.1
         t3 = t2 + 0.016
-        assert list(result.steps) == [
-            StepRecord(0.0, t1, "prefill", 2, 5, 2, 48 + 32),
-            StepRecord(t1, t2, "prefill", 1, 4, 1, 80),
-            StepRecord(t2, t3, "decode", 1, 1, 1, 80)]
+        assert rows(result.steps) == [
+            (0.0, t1, "prefill", 2, 5, 2, 48 + 32),
+            (t1, t2, "prefill", 1, 4, 1, 80),
+            (t2, t3, "decode", 1, 1, 1, 80)]
         assert result.records == (_record(a, t1, t1), _record(b, t1, t1), _record(c, t2, t3))
         assert result.generated_tokens == 4
 
@@ -340,11 +345,11 @@ class TestDecodeClockOracle:
         t2 = t1 + 0.048
         t3 = t2 + 0.056
         t4 = t3 + 0.064
-        assert list(result.steps) == [
-            StepRecord(0.0, t1, "prefill", 2, 8, 2, 112 + 80),
-            StepRecord(t1, t2, "decode", 2, 2, 2, 112 + 80),
-            StepRecord(t2, t3, "decode", 2, 2, 1, 80),
-            StepRecord(t3, t4, "decode", 2, 2, 1, 80)]
+        assert rows(result.steps) == [
+            (0.0, t1, "prefill", 2, 8, 2, 112 + 80),
+            (t1, t2, "decode", 2, 2, 2, 112 + 80),
+            (t2, t3, "decode", 2, 2, 1, 80),
+            (t3, t4, "decode", 2, 2, 1, 80)]
         assert result.records == (_record(a, t1, t2), _record(b, t1, t4))
 
     def test_a_decoder_and_a_one_token_prompt_finish_on_one_mixed_step(self):
@@ -355,9 +360,9 @@ class TestDecodeClockOracle:
         result = run(SplitFuse(4), trace, TINY, ORACLE)
         t1 = 0.1
         t2 = t1 + 0.1
-        assert list(result.steps) == [
-            StepRecord(0.0, t1, "mixed", 2, 4, 1, 48 + 80),
-            StepRecord(t1, t2, "mixed", 2, 4, 2, 48 + 80)]
+        assert rows(result.steps) == [
+            (0.0, t1, "mixed", 2, 4, 1, 48 + 80),
+            (t1, t2, "mixed", 2, 4, 2, 48 + 80)]
         assert result.records == (_record(a, t1, t2), _record(b, t2, t2))
         assert result.generated_tokens == 3
 
@@ -370,11 +375,11 @@ class TestDecodeClockOracle:
         t2 = t1 + 0.1
         t3 = t2 + 0.04
         t4 = t3 + 0.048
-        assert list(result.steps) == [
-            StepRecord(0.0, t1, "prefill", 1, 3, 1, 80 + 112),
-            StepRecord(t1, t2, "prefill", 1, 5, 1, 80 + 112),
-            StepRecord(t2, t3, "decode", 2, 2, 2, 80 + 112),
-            StepRecord(t3, t4, "decode", 2, 2, 2, 80 + 112)]
+        assert rows(result.steps) == [
+            (0.0, t1, "prefill", 1, 3, 1, 80 + 112),
+            (t1, t2, "prefill", 1, 5, 1, 80 + 112),
+            (t2, t3, "decode", 2, 2, 2, 80 + 112),
+            (t3, t4, "decode", 2, 2, 2, 80 + 112)]
         assert result.records == (_record(a, t1, t4), _record(b, t2, t4))
 
     def test_a_policy_that_never_runs_a_step_raises(self):
@@ -410,8 +415,8 @@ class TestCapacity:
         result = run(Continuous(max_seqs=4), trace, TINY, ORACLE, capacity=cap)
         assert result.metrics.completed == 2
         assert result.peak_reserved_bytes <= 64
-        assert all(s.reserved_bytes <= 64 for s in result.steps)
-        assert max(s.batch for s in result.steps) == 1
+        assert result.steps.reserved_bytes.max() <= 64
+        assert result.steps.batch.max() == 1
 
     def test_paged_capacity_rounds_reservations_up(self):
         # 3 live tokens round to one 16-token block: 256 B.
@@ -429,8 +434,9 @@ class TestCapacity:
         trace = [req(0, 2, 2), req(1, 2, 2)]
         result = run(Static(2), trace, TINY, ORACLE, capacity=cap)
         assert result.metrics.completed == 2
-        assert [s.batch for s in result.steps if s.kind == "prefill"] == [1, 1]
-        assert all(s.reserved_bytes <= 48 for s in result.steps)
+        steps = result.steps
+        assert steps.batch[steps.kind == StepTable.KINDS.index("prefill")].tolist() == [1, 1]
+        assert steps.reserved_bytes.max() <= 48
 
     def test_from_hardware(self):
         a800 = HARDWARE_PRESETS["a800"]
@@ -450,7 +456,7 @@ class TestCapacity:
         result = run(Continuous(max_seqs=4), [req(0, 2, 2), req(1, 2, 2)],
                      TINY, ORACLE, capacity=KvCapacity(TokenGranular(), 48))
         assert result.metrics.completed == 2
-        assert all(s.reserved_bytes == 48 for s in result.steps)
+        assert np.all(result.steps.reserved_bytes == 48)
         assert result.peak_reserved_bytes == 48
 
 
@@ -492,8 +498,8 @@ class TestNegativeClamp:
             RegressionCoefficients(Phase.PREFILL, (0, 0, 0, 0, 0, -1.64)),
             PHI_DECODE)
         result = run(Continuous(max_seqs=1), [req(0, 1, 1)], TINY, coeffs)
-        [step] = result.steps
-        assert step.end_s == step.start_s == 0.0
+        assert len(result.steps) == 1
+        assert result.steps.end_s[0] == result.steps.start_s[0] == 0.0
         assert result.records[0].completion_s == 0.0
 
 
@@ -611,17 +617,7 @@ class TestInvariantsAcrossPolicies:
     def test_conservation_and_ordering(self, policy):
         trace = [req(i, 1 + (i * 7) % 5, 1 + (i * 3) % 4, at=0.05 * i)
                  for i in range(20)]
-        result = run(policy, trace, TINY, ORACLE)
-        assert result.metrics.completed == len(trace)
-        assert sorted(r.id for r in result.records) == [r.id for r in trace]
-        assert result.generated_tokens == sum(r.output_len for r in trace)
-        assert result.generated_tokens == sum(s.generated for s in result.steps)
-        for record in result.records:
-            assert record.arrival_s <= record.first_token_s <= record.completion_s
-        for step in result.steps:
-            assert step.end_s >= step.start_s
-        for earlier, later in zip(result.steps, result.steps[1:]):
-            assert later.start_s >= earlier.end_s
+        check_invariants(run(policy, trace, TINY, ORACLE), trace)
 
     def test_determinism(self, policy):
         trace = [req(i, 2 + i % 3, 1 + i % 4, at=0.1 * i) for i in range(12)]
@@ -629,7 +625,7 @@ class TestInvariantsAcrossPolicies:
 
     def test_empty_trace(self, policy):
         result = run(policy, [], TINY, ORACLE)
-        assert result == RunResult(EMPTY_METRICS, (), (), 0, 0, None)
+        assert result == RunResult(EMPTY_METRICS, (), StepTable(*[[]] * 7), 0, 0, None)
 
     def test_step_record_contract(self, policy, monkeypatch):
         # Decode spans and single steps must build the same record type.
@@ -646,8 +642,8 @@ class TestInvariantsAcrossPolicies:
         trace = [req(0, 2, 6), req(1, 3, 4), req(2, 1, 5, at=0.5)]
         steps = run(policy, trace, TINY, ORACLE).steps
         assert 0 < sum(span_steps) < len(steps)
-        assert StepRecord._fields == ("start_s", "end_s", "kind", "batch", "tokens",
-                                      "generated", "reserved_bytes")
+        assert StepRecord._fields == STEP_COLUMNS
+        assert list(steps) == rows(steps)
         for step in steps:
             assert type(step) is StepRecord
             with pytest.raises(AttributeError):
@@ -665,43 +661,41 @@ class TestStepTable:
     def steps(self):
         return run(Continuous(max_seqs=3), self.TRACE, TINY, ORACLE).steps
 
-    def test_equals_a_sequence_of_records_in_both_directions(self):
+    def test_equals_only_a_table_with_equal_columns(self):
         steps = self.steps()
-        records = tuple(steps)
-        assert isinstance(steps, StepTable) and len(records) == len(steps) > 4
-        assert steps == records and records == steps
-        assert steps == list(records) and list(records) == steps
+        assert isinstance(steps, StepTable) and len(steps) > 4
         assert steps == self.steps()
-        last = records[-1]
-        changed = records[:-1] + (last._replace(end_s=last.end_s + 1.0),)
-        assert steps != changed and changed != steps
-        assert steps != records[:-1] and records[:-1] != steps
+        columns = [getattr(steps, name) for name in STEP_COLUMNS]
+        assert steps == StepTable(*columns)
+        end_s = columns[1].copy()
+        end_s[-1] += 1.0
+        assert steps != StepTable(columns[0], end_s, *columns[2:])
+        assert steps != StepTable(*(column[:-1] for column in columns))
         empty = run(Continuous(max_seqs=3), [], TINY, ORACLE).steps
-        assert empty == () and () == empty and empty != records
-
-    def test_index_and_slice_match_the_records(self):
-        steps = self.steps()
-        records = tuple(steps)
-        assert type(steps[-1]) is StepRecord and steps[-1] == records[-1]
-        assert steps[2:4] == records[2:4] and isinstance(steps[2:4], StepTable)
-        assert [steps[i] for i in range(len(steps))] == list(records)
-        with pytest.raises(IndexError):
-            steps[len(steps)]
+        assert empty == StepTable(*[[]] * 7) and empty != steps
+        # Columns, not a sequence: a table neither indexes nor equals its rows.
+        assert not isinstance(steps, Sequence)
+        assert steps != rows(steps) and rows(steps) != steps
+        with pytest.raises(TypeError):
+            steps[0]
 
     def test_columns_are_read_only(self):
         steps = self.steps()
-        for name in StepRecord._fields:
+        for name in STEP_COLUMNS:
             column = getattr(steps, name)
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[1]
-        assert [StepTable.KINDS[code] for code in steps.kind] == [s.kind for s in steps]
+        assert [getattr(steps, name).dtype for name in STEP_COLUMNS] == [
+            np.float64, np.float64, np.int8, np.int64, np.int64, np.int64, np.int64]
 
     def test_iteration_crosses_chunk_boundaries(self):
+        # Iteration turns 4096 rows at a time into StepRecords of Python scalars.
         steps = run(Continuous(max_seqs=1), [req(0, 1, 9000)], TINY, ORACLE).steps
         records = list(steps)
         assert len(records) == len(steps) == 9000
+        assert records == rows(steps)
         for i in (0, 4095, 4096, 4097, 8191, 8192, 8999):
-            assert records[i] == steps[i] == steps[i - 9000]
+            assert type(records[i]) is StepRecord
             assert type(records[i].start_s) is float and type(records[i].batch) is int
 
     def test_request_times_stay_python_floats(self):
@@ -764,27 +758,8 @@ ANY_POLICY = st.one_of(
 def test_invariants_with_arrivals_and_kv_capacity(case, policy):
     trace, capacity = case
     result = run(policy, trace, TINY, ORACLE, capacity=capacity)
-    want = sum(r.output_len for r in trace)
-    assert result.generated_tokens == sum(s.generated for s in result.steps) == want
-    assert sorted(r.id for r in result.records) == [r.id for r in trace]
-    for record in result.records:
-        assert record.arrival_s <= record.first_token_s <= record.completion_s
-    for step in result.steps:
-        assert step.end_s >= step.start_s
-        assert step.reserved_bytes <= capacity.total_bytes
-    for earlier, later in zip(result.steps, result.steps[1:]):
-        assert later.start_s >= earlier.start_s
-    assert result.peak_reserved_bytes <= capacity.total_bytes
+    check_invariants(result, trace, capacity)
     assert run(policy, trace, TINY, ORACLE, capacity=capacity) == result
-
-
-def _table10(paper_data, backend: str) -> CoefficientPair:
-    with open(paper_data / "table10_regression_coefficients.json", encoding="utf-8") as fh:
-        table = json.load(fh)[backend]
-    return CoefficientPair(*(
-        RegressionCoefficients(phase, tuple(table[phase.value][name]
-                                            for name in coeff_names(phase)))
-        for phase in (Phase.PREFILL, Phase.DECODE)))
 
 
 def _poisson_trace(scenario: str, n: int, seed: int) -> list[Request]:
@@ -860,11 +835,10 @@ class TestSpanPaths:
     @pytest.mark.parametrize("policy", [Static(8), Continuous(max_seqs=16), SplitFuse(256)],
                              ids=describe_policy)
     @pytest.mark.parametrize("backend", ["vllm", "transformers"])
-    def test_table10_poisson_runs_agree(self, paper_data, monkeypatch, backend, policy,
-                                        capacity):
+    def test_table10_poisson_runs_agree(self, table10, monkeypatch, backend, policy, capacity):
         trace = _poisson_trace("short-to-long", 150, seed=9)
         result, kinds = self.run_three_ways(monkeypatch, policy, trace, LLAMA7B,
-                                            _table10(paper_data, backend), capacity)
+                                            table10(backend), capacity)
         assert kinds == {list, np.ndarray}  # the default takes both paths
         assert len(result.records) == len(trace)
 
@@ -880,5 +854,5 @@ class TestSpanPaths:
         trace = [req(0, 1, output_len), req(1, 1, 1, at=boundary)]
         result, _ = self.run_three_ways(monkeypatch, Continuous(max_seqs=2), trace,
                                         TINY, ORACLE)
-        assert result.steps[steps_before].end_s == boundary
-        assert result.steps[steps_before + 1][:3] == (boundary, boundary + 0.1, "prefill")
+        assert result.steps.end_s[steps_before] == boundary
+        assert rows(result.steps)[steps_before + 1][:3] == (boundary, boundary + 0.1, "prefill")

@@ -13,30 +13,12 @@ check shares no pricing code with the simulator. vLLM's negative prefill
 intercept sends short prompts through the zero clamp.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from infercost import (
-    CoefficientPair,
-    Continuous,
-    Phase,
-    RegressionCoefficients,
-    coeff_names,
-    generate,
-    resolve_model,
-    run,
-)
+from infercost import Continuous, generate, resolve_model, run
 
 LLAMA7B = resolve_model("llama2-7b")
-
-
-def _table10(paper_data, backend: str) -> dict[str, tuple[float, ...]]:
-    with open(paper_data / "table10_regression_coefficients.json", encoding="utf-8") as fh:
-        table = json.load(fh)[backend]
-    return {phase: tuple(table[phase.value][name] for name in coeff_names(phase))
-            for phase in (Phase.PREFILL, Phase.DECODE)}
 
 
 def _dot(values, features) -> float:
@@ -66,20 +48,18 @@ def _decode(values, b: int, s: int) -> float:
 
 @pytest.mark.parametrize("scenario", ["short-to-short", "short-to-long", "long-to-short"])
 @pytest.mark.parametrize("backend", ["vllm", "transformers"])
-def test_one_sequence_at_a_time_matches_the_closed_form(paper_data, backend, scenario):
-    values = _table10(paper_data, backend)
+def test_one_sequence_at_a_time_matches_the_closed_form(table10, backend, scenario):
+    coeffs = table10(backend)
     trace = generate(scenario, 60, seed=3)
-    result = run(Continuous(max_seqs=1), trace, LLAMA7B,
-                 CoefficientPair(*(RegressionCoefficients(phase, v)
-                                   for phase, v in values.items())))
+    result = run(Continuous(max_seqs=1), trace, LLAMA7B, coeffs)
 
     t = 0.0
     want = {}
     for req in trace:
-        t = t + _prefill(values[Phase.PREFILL], 1, req.input_len)
+        t = t + _prefill(coeffs.prefill.values, 1, req.input_len)
         first = t
         for j in range(req.output_len - 1):
-            t = t + _decode(values[Phase.DECODE], 1, req.input_len + j)
+            t = t + _decode(coeffs.decode.values, 1, req.input_len + j)
         want[req.id] = (first, t)
 
     got = {r.id: (r.first_token_s, r.completion_s) for r in result.records}

@@ -14,22 +14,18 @@ them:
   so each part holds a multiple of 8 requests, and no cap may split a batch.
 """
 
-import json
-
 import numpy as np
 import pytest
+from oracles import STEP_COLUMNS
 
 from infercost import (
-    CoefficientPair,
     Continuous,
     KvCapacity,
     Paged,
-    Phase,
-    RegressionCoefficients,
     Request,
     SplitFuse,
     Static,
-    coeff_names,
+    StepTable,
     describe_policy,
     generate,
     resolve_hardware,
@@ -48,15 +44,6 @@ CAPACITIES = {"uncapped": None, "a800-paged16": A800_PAGED,
 SCENARIOS = ["short-to-short", "short-to-long", "long-to-short"]
 
 
-def _table10(paper_data, backend: str) -> CoefficientPair:
-    with open(paper_data / "table10_regression_coefficients.json", encoding="utf-8") as fh:
-        table = json.load(fh)[backend]
-    return CoefficientPair(*(
-        RegressionCoefficients(phase, tuple(table[phase.value][name]
-                                            for name in coeff_names(phase)))
-        for phase in (Phase.PREFILL, Phase.DECODE)))
-
-
 def _poisson_trace(scenario: str, n: int, seed: int, start_s: float = 0.0,
                    first_id: int = 0) -> list[Request]:
     """n requests arriving at 4 req/s after start_s, numbered from first_id."""
@@ -68,9 +55,9 @@ def _poisson_trace(scenario: str, n: int, seed: int, start_s: float = 0.0,
 @pytest.mark.parametrize("capacity", CAPACITIES.values(), ids=CAPACITIES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("backend", ["vllm", "transformers"])
-def test_static_one_equals_continuous_one(paper_data, backend, scenario, capacity):
+def test_static_one_equals_continuous_one(table10, backend, scenario, capacity):
     trace = _poisson_trace(scenario, 300, seed=11)
-    coeffs = _table10(paper_data, backend)
+    coeffs = table10(backend)
     static = run(Static(1), trace, LLAMA7B, coeffs, capacity)
     continuous = run(Continuous(max_seqs=1), trace, LLAMA7B, coeffs, capacity)
     assert static == continuous  # records, steps and totals
@@ -88,8 +75,8 @@ IDLE_GAP_CASES = [pytest.param(policy, capacity, id=f"{describe_policy(policy)}-
 @pytest.mark.parametrize("policy, capacity", IDLE_GAP_CASES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("backend", ["vllm", "transformers"])
-def test_runs_split_at_an_idle_gap(paper_data, backend, scenario, policy, capacity):
-    coeffs = _table10(paper_data, backend)
+def test_runs_split_at_an_idle_gap(table10, backend, scenario, policy, capacity):
+    coeffs = table10(backend)
     part_a = _poisson_trace(scenario, 64, seed=3)
     first = run(policy, part_a, LLAMA7B, coeffs, capacity)
     drained_s = first.records[-1].completion_s
@@ -99,7 +86,9 @@ def test_runs_split_at_an_idle_gap(paper_data, backend, scenario, policy, capaci
     whole = run(policy, part_a + part_b, LLAMA7B, coeffs, capacity)
 
     assert whole.records == first.records + second.records
-    assert whole.steps == [*first.steps, *second.steps]
+    assert whole.steps == StepTable(*(np.concatenate((getattr(first.steps, name),
+                                                      getattr(second.steps, name)))
+                                      for name in STEP_COLUMNS))
     assert whole.generated_tokens == first.generated_tokens + second.generated_tokens
     assert whole.peak_reserved_bytes == max(first.peak_reserved_bytes,
                                             second.peak_reserved_bytes)

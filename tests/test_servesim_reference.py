@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rows
 from test_servesim import ANY_POLICY, ORACLE, TINY, req, traces_under_capacity
 
 from infercost import servesim
@@ -38,7 +39,7 @@ from infercost.servesim import (
     RunResult,
     SplitFuse,
     Static,
-    StepRecord,
+    StepTable,
     compute_metrics,
     describe_policy,
     run,
@@ -150,7 +151,7 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
     waiting: deque = deque()
     running: list = []
     records: list = []
-    steps: list = []
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])  # one list per StepTable column
     t = 0.0
     next_arrival = reserved = peak = generated_tokens = 0
     while next_arrival < len(pending) or waiting or running:
@@ -188,7 +189,9 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
             if not seq.remaining_output:
                 finished.append(seq)
         generated_tokens += generated
-        steps.append(StepRecord(start, t, kind, len(items), tokens, generated, reserved))
+        for column, value in zip(columns, (start, t, StepTable.KINDS.index(kind), len(items),
+                                         tokens, generated, reserved)):
+            column.append(value)
         if not finished:
             continue
         for seq in finished:
@@ -201,7 +204,7 @@ def reference_run(policy, trace, cfg, coeffs, capacity=None) -> RunResult:
         if not isinstance(policy, Static) or not live:
             running = live  # only a static batch keeps its finished sequences
 
-    return RunResult(compute_metrics(records), tuple(records), tuple(steps),
+    return RunResult(compute_metrics(records), tuple(records), StepTable(*columns),
                      generated_tokens, peak,
                      None if capacity is None else capacity.total_bytes)
 
@@ -281,5 +284,5 @@ def test_arrival_on_a_step_boundary_is_admitted_at_that_boundary():
     trace = [req(0, 1, 6), req(1, 1, 1, at=boundary)]
     result = run(Continuous(max_seqs=2), trace, TINY, ORACLE)
     assert result == reference_run(Continuous(max_seqs=2), trace, TINY, ORACLE)
-    assert [(s.kind, s.start_s) for s in result.steps[2:4]] == [
+    assert [(kind, start_s) for start_s, _, kind, *_ in rows(result.steps)[2:4]] == [
         ("decode", 0.1 + 0.004), ("prefill", boundary)]

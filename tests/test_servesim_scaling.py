@@ -10,22 +10,16 @@ every throughput must halve. Unlike the step-by-step reference, this check
 reads nothing of the engine's own code.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from infercost import (
-    CoefficientPair,
     Continuous,
     KvCapacity,
     Paged,
-    Phase,
-    RegressionCoefficients,
     Request,
     SplitFuse,
     Static,
-    coeff_names,
     describe_policy,
     generate,
     run,
@@ -43,15 +37,6 @@ PAGED_4GIB = KvCapacity(Paged(16), 4 * 2**30)
 POLICIES = [Static(8), Continuous(max_seqs=16), SplitFuse(256)]
 
 
-def _table10(paper_data, backend: str, scale: float) -> CoefficientPair:
-    with open(paper_data / "table10_regression_coefficients.json", encoding="utf-8") as fh:
-        table = json.load(fh)[backend]
-    return CoefficientPair(*(
-        RegressionCoefficients(phase, tuple(scale * table[phase.value][name]
-                                            for name in coeff_names(phase)))
-        for phase in (Phase.PREFILL, Phase.DECODE)))
-
-
 def _poisson_trace(scenario: str, scale: float) -> list[Request]:
     """200 requests arriving at 4 req/s; every arrival time times scale."""
     arrivals = np.cumsum(np.random.default_rng(5).exponential(0.25, size=200))
@@ -65,11 +50,10 @@ def _poisson_trace(scenario: str, scale: float) -> list[Request]:
 @pytest.mark.parametrize("scenario", ["short-to-short", "short-to-long", "long-to-short"])
 @pytest.mark.parametrize("backend", ["vllm", "transformers"])
 def test_doubling_coefficients_and_arrivals_doubles_every_time(
-        paper_data, backend, scenario, policy, capacity):
-    base = run(policy, _poisson_trace(scenario, 1.0), LLAMA7B,
-               _table10(paper_data, backend, 1.0), capacity)
-    doubled = run(policy, _poisson_trace(scenario, 2.0), LLAMA7B,
-                  _table10(paper_data, backend, 2.0), capacity)
+        table10, backend, scenario, policy, capacity):
+    base = run(policy, _poisson_trace(scenario, 1.0), LLAMA7B, table10(backend), capacity)
+    doubled = run(policy, _poisson_trace(scenario, 2.0), LLAMA7B, table10(backend, 2.0),
+                  capacity)
 
     assert np.array_equal(doubled.steps.start_s, 2 * base.steps.start_s)
     assert np.array_equal(doubled.steps.end_s, 2 * base.steps.end_s)
@@ -91,12 +75,12 @@ def test_doubling_coefficients_and_arrivals_doubles_every_time(
 
 @pytest.mark.parametrize("policy", POLICIES, ids=describe_policy)
 @pytest.mark.parametrize("backend", ["vllm", "transformers"])
-def test_the_small_cap_refuses_admission(paper_data, backend, policy):
+def test_the_small_cap_refuses_admission(table10, backend, policy):
     # Refusal shows in the schedule: a step starts at another time or carries
     # another batch than under the a800 cap. reserved_bytes would differ
     # under any other cap from block rounding alone.
     trace = _poisson_trace("long-to-short", 1.0)
-    coeffs = _table10(paper_data, backend, 1.0)
+    coeffs = table10(backend)
     small = run(policy, trace, LLAMA7B, coeffs, PAGED_4GIB).steps
     large = run(policy, trace, LLAMA7B, coeffs, A800_PAGED).steps
     assert not (np.array_equal(small.start_s, large.start_s)
